@@ -29,9 +29,7 @@ from .grow import (
     build_width_map,
     depth_source_indices,
     expand_in_axis,
-    expand_in_heads,
     expand_out_axis,
-    expand_out_heads,
     fpi_expand,
     grow_depth,
     scale_up,
@@ -87,9 +85,7 @@ __all__ = [
     "depth_source_indices",
     "eval_loss",
     "expand_in_axis",
-    "expand_in_heads",
     "expand_out_axis",
-    "expand_out_heads",
     "forward",
     "fpi_expand",
     "grad_check",

@@ -4,10 +4,14 @@ A checkpoint is a directory holding ``config.json`` and ``tensors.bin``.
 ``tensors.bin`` is an 8-byte little-endian header length, a UTF-8 JSON header
 mapping tensor name -> {dtype, shape, data_offsets}, then raw little-endian
 binary32 data. Round-trips are bitwise exact.
+
+ROLES names the axes of every tensor role; tensor shapes, width growth,
+upcycling and parameter counts are all derived from it.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import struct
@@ -24,43 +28,71 @@ TENSORS_FILE = "tensors.bin"
 _DTYPE_TAG = "f32"
 
 
-def mlp_tensor_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """Shapes of one gated-MLP parameter set (also one MoE expert)."""
-    h, m = config.hidden_dim, config.intermediate_dim
-    return {"w_gate": (h, m), "w_up": (h, m), "w_down": (m, h)}
+# Axis names of every tensor role, in canonical (initialization) order. Roles
+# under "layers.{i}." repeat, as one block, once per layer. "_bias" roles
+# exist only with qkv_bias and "moe." roles only in routed checkpoints, where
+# the "mlp." roles become n_experts expert copies ("moe.expert.{j}.") that
+# close the block.
+_LAYER = "layers.{i}."
+ROLES: dict[str, tuple[str, ...]] = {
+    "embed": ("vocab", "hidden"),
+    "layers.{i}.attn_norm": ("hidden",),
+    "layers.{i}.attn.wq": ("hidden", "q"),
+    "layers.{i}.attn.wk": ("hidden", "kv"),
+    "layers.{i}.attn.wv": ("hidden", "kv"),
+    "layers.{i}.attn.q_bias": ("q",),
+    "layers.{i}.attn.k_bias": ("kv",),
+    "layers.{i}.attn.v_bias": ("kv",),
+    "layers.{i}.attn.wo": ("q", "hidden"),
+    "layers.{i}.mlp_norm": ("hidden",),
+    "layers.{i}.moe.router": ("hidden", "experts"),
+    "layers.{i}.mlp.w_gate": ("hidden", "inter"),
+    "layers.{i}.mlp.w_up": ("hidden", "inter"),
+    "layers.{i}.mlp.w_down": ("inter", "hidden"),
+    "final_norm": ("hidden",),
+    "unembed": ("hidden", "vocab"),
+}
+
+
+def _layout(values: dict, config: ModelConfig, moe: MoEConfig | None) -> dict:
+    """Lay a per-role table (ROLES, or one derived from it) out over the
+    tensor names a config implies, in canonical order."""
+    out = {}
+    for per_layer, group in itertools.groupby(values.items(), lambda item: item[0].startswith(_LAYER)):
+        roles = [(role.removeprefix(_LAYER), value) for role, value in group
+                 if (config.qkv_bias or not role.endswith("_bias"))
+                 and (moe is not None or ".moe." not in role)]
+        if not per_layer:
+            out.update(roles)
+            continue
+        if moe is not None:
+            mlp = [(role.removeprefix("mlp."), value) for role, value in roles if role.startswith("mlp.")]
+            roles = [(role, value) for role, value in roles if not role.startswith("mlp.")] + [
+                (f"moe.expert.{j}.{role}", value) for j in range(moe.n_experts) for role, value in mlp
+            ]
+        for i in range(config.n_layers):
+            prefix = f"layers.{i}."
+            out.update((prefix + role, value) for role, value in roles)
+    return out
+
+
+def tensor_axes(config: ModelConfig, moe: MoEConfig | None = None) -> dict[str, tuple[str, ...]]:
+    """Canonical tensor name -> axis names implied by a config."""
+    return _layout(ROLES, config, moe)
 
 
 def tensor_shapes(config: ModelConfig, moe: MoEConfig | None = None) -> dict[str, tuple[int, ...]]:
-    """Canonical tensor name -> shape map implied by a config.
-
-    MoE checkpoints replace each block's ``mlp.*`` tensors with a router and
-    ``n_experts`` replicated expert parameter sets.
-    """
-    h = config.hidden_dim
-    shapes: dict[str, tuple[int, ...]] = {"embed": (config.vocab_size, h)}
-    for i in range(config.n_layers):
-        p = f"layers.{i}"
-        shapes[f"{p}.attn_norm"] = (h,)
-        shapes[f"{p}.attn.wq"] = (h, config.q_dim)
-        shapes[f"{p}.attn.wk"] = (h, config.kv_dim)
-        shapes[f"{p}.attn.wv"] = (h, config.kv_dim)
-        if config.qkv_bias:
-            shapes[f"{p}.attn.q_bias"] = (config.q_dim,)
-            shapes[f"{p}.attn.k_bias"] = (config.kv_dim,)
-            shapes[f"{p}.attn.v_bias"] = (config.kv_dim,)
-        shapes[f"{p}.attn.wo"] = (config.q_dim, h)
-        shapes[f"{p}.mlp_norm"] = (h,)
-        if moe is None:
-            for name, shape in mlp_tensor_shapes(config).items():
-                shapes[f"{p}.mlp.{name}"] = shape
-        else:
-            shapes[f"{p}.moe.router"] = (h, moe.n_experts)
-            for j in range(moe.n_experts):
-                for name, shape in mlp_tensor_shapes(config).items():
-                    shapes[f"{p}.moe.expert.{j}.{name}"] = shape
-    shapes["final_norm"] = (h,)
-    shapes["unembed"] = (h, config.vocab_size)
-    return shapes
+    """Canonical tensor name -> shape map implied by a config."""
+    sizes = {
+        "vocab": config.vocab_size,
+        "hidden": config.hidden_dim,
+        "q": config.q_dim,
+        "kv": config.kv_dim,
+        "inter": config.intermediate_dim,
+        "experts": 0 if moe is None else moe.n_experts,
+    }
+    shapes = {role: tuple(sizes[a] for a in axes) for role, axes in ROLES.items()}
+    return _layout(shapes, config, moe)
 
 
 @dataclass
@@ -91,7 +123,7 @@ class Checkpoint:
                 raise ValidationError(
                     f"tensor {name!r} has shape {tuple(arr.shape)}, config implies {shape}"
                 )
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise ValidationError(f"tensor {name!r} contains non-finite values")
 
     def freeze(self) -> "Checkpoint":
@@ -110,7 +142,7 @@ class ParamCount:
 def count_params(ckpt: Checkpoint) -> ParamCount:
     """Total and per-token-activated parameter counts of a checkpoint."""
     sizes = {name: arr.size for name, arr in ckpt.tensors.items()}
-    return _count(sizes, ckpt.config, ckpt.moe)
+    return _count(sizes, ckpt.moe)
 
 
 def count_config_params(config: ModelConfig, moe: MoEConfig | None = None) -> ParamCount:
@@ -119,17 +151,17 @@ def count_config_params(config: ModelConfig, moe: MoEConfig | None = None) -> Pa
     if moe is not None:
         moe.validate()
     sizes = {name: math.prod(shape) for name, shape in tensor_shapes(config, moe).items()}
-    return _count(sizes, config, moe)
+    return _count(sizes, moe)
 
 
-def _count(sizes: dict[str, int], config: ModelConfig, moe: MoEConfig | None) -> ParamCount:
+def _count(sizes: dict[str, int], moe: MoEConfig | None) -> ParamCount:
     total = sum(sizes.values())
     if moe is None:
         return ParamCount(total=total, activated=total)
     # Experts are replicas, so each carries the same parameter count; a token
     # activates attention + router + top_k experts per layer.
-    expert_size = sum(sizes[f"layers.0.moe.expert.0.{n}"] for n in mlp_tensor_shapes(config))
-    inactive = (moe.n_experts - moe.top_k) * expert_size * config.n_layers
+    experts = sum(size for name, size in sizes.items() if ".moe.expert." in name)
+    inactive = experts // moe.n_experts * (moe.n_experts - moe.top_k)
     return ParamCount(total=total, activated=total - inactive)
 
 
@@ -174,9 +206,13 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
 
     try:
         config_doc = json.loads(config_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"unparseable {CONFIG_FILE}: {exc}") from exc
+    if not isinstance(config_doc, dict):
+        raise CheckpointError(f"{CONFIG_FILE} must hold a JSON object")
     moe_doc = config_doc.pop("moe", None)
+    if moe_doc is not None and not isinstance(moe_doc, dict):
+        raise CheckpointError(f"the moe entry of {CONFIG_FILE} must be a JSON object")
     config = ModelConfig.from_dict(config_doc)
     moe = MoEConfig.from_dict(moe_doc) if moe_doc is not None else None
 
@@ -190,14 +226,24 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         header = json.loads(raw[8 : 8 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"unparseable tensor header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise CheckpointError("tensor header must be a JSON object")
 
     data = raw[8 + header_len :]
     tensors: dict[str, np.ndarray] = {}
     for name, meta in header.items():
+        if not isinstance(meta, dict):
+            raise CheckpointError(f"header entry of tensor {name!r} must be a JSON object")
         if meta.get("dtype") != _DTYPE_TAG:
             raise CheckpointError(f"tensor {name!r} has unsupported dtype {meta.get('dtype')!r}")
-        shape = tuple(int(d) for d in meta["shape"])
-        begin, end = (int(v) for v in meta["data_offsets"])
+        shape, offsets = meta.get("shape"), meta.get("data_offsets")
+        if not (_is_count_list(shape) and _is_count_list(offsets) and len(offsets) == 2):
+            raise CheckpointError(
+                f"tensor {name!r} needs a shape and two data_offsets, "
+                "as lists of non-negative integers"
+            )
+        shape = tuple(shape)
+        begin, end = offsets
         if not 0 <= begin <= end <= len(data):
             raise CheckpointError(f"truncated {TENSORS_FILE}: tensor {name!r} data out of bounds")
         if end - begin != math.prod(shape) * 4:
@@ -208,3 +254,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     ckpt = Checkpoint(config=config, tensors=tensors, moe=moe)
     ckpt.validate()
     return ckpt.freeze()
+
+
+def _is_count_list(value) -> bool:
+    return isinstance(value, list) and all(type(v) is int and v >= 0 for v in value)

@@ -7,6 +7,25 @@ from dataclasses import dataclass
 
 from .errors import ValidationError
 
+
+def from_fields(cls, data, kind: str):
+    """Build the dataclass ``cls`` from a JSON object, rejecting input that is
+    not an object, names no field of ``cls``, or leaves a required one out."""
+    if not isinstance(data, dict):
+        raise ValidationError(f"{kind} config must be a JSON object, got {type(data).__name__}")
+    fields = dataclasses.fields(cls)
+    unknown = set(data) - {f.name for f in fields}
+    if unknown:
+        raise ValidationError(f"unknown {kind} config fields: {sorted(unknown)}")
+    missing = {f.name for f in fields if f.default is dataclasses.MISSING} - set(data)
+    if missing:
+        raise ValidationError(f"missing {kind} config fields: {sorted(missing)}")
+    try:
+        return cls(**data)
+    except TypeError as exc:  # a field of the wrong JSON type, e.g. a string compared to 0
+        raise ValidationError(f"{kind} config field of the wrong type: {exc}") from exc
+
+
 _POSITIVE_FIELDS = (
     "n_layers",
     "hidden_dim",
@@ -76,14 +95,7 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValidationError(f"unknown model config fields: {sorted(unknown)}")
-        missing = {f.name for f in dataclasses.fields(cls) if f.default is dataclasses.MISSING} - set(data)
-        if missing:
-            raise ValidationError(f"missing model config fields: {sorted(missing)}")
-        return cls(**data)
+        return from_fields(cls, data, "model")
 
 
 @dataclass(frozen=True)
@@ -122,8 +134,4 @@ class MoEConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MoEConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValidationError(f"unknown moe config fields: {sorted(unknown)}")
-        return cls(**data)
+        return from_fields(cls, data, "moe")

@@ -81,7 +81,11 @@ def save_tokens(path: str | Path, tokens: np.ndarray) -> None:
 
 
 def load_tokens(path: str | Path) -> np.ndarray:
+    """Read a token stream written by save_tokens."""
     path = Path(path)
     if not path.is_file():
-        raise ValidationError(f"token file not found: {path}")
+        raise FileNotFoundError(f"token file not found: {path}")
+    size = path.stat().st_size
+    if size % 4:
+        raise ValidationError(f"token file {path} is {size} bytes, not a whole number of u32 tokens")
     return np.fromfile(str(path), dtype="<u4").astype(np.int64)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import Checkpoint, tensor_shapes
+from .checkpoint import Checkpoint, tensor_axes
 from .config import ModelConfig
 from .errors import ValidationError
 from .model import build_graph
@@ -52,13 +52,16 @@ class WidthMap:
         expansion; for a circular whole-axis map these are the first old_dim
         positions, while per-group head maps interleave them group by group.
         """
-        seen = np.zeros(self.old_dim, dtype=bool)
         mask = np.zeros(self.new_dim, dtype=bool)
-        for i, s in enumerate(self.src_index):
-            if not seen[s]:
-                seen[s] = True
-                mask[i] = True
+        mask[np.unique(self.src_index, return_index=True)[1]] = True
         return mask
+
+    def per_element(self, size: int) -> "WidthMap":
+        """The same map over blocks of ``size`` consecutive elements, one entry
+        per element: a head map becomes a map over the head-major q axis."""
+        src = (self.src_index[:, None] * size + np.arange(size)).reshape(-1)
+        return WidthMap(new_dim=self.new_dim * size, src_index=src,
+                        multiplicity=np.repeat(self.multiplicity, size))
 
     def validate(self) -> None:
         if len(self.src_index) != self.new_dim:
@@ -134,30 +137,6 @@ def expand_out_axis(w: np.ndarray, wmap: WidthMap, donor: np.ndarray | None = No
     return out
 
 
-def expand_out_heads(w: np.ndarray, head_map: WidthMap, head_dim: int,
-                     donor: np.ndarray | None = None) -> np.ndarray:
-    """Grow an output axis at whole-head granularity (query projections)."""
-    lead = w.shape[:-1]
-    w3 = w.reshape(*lead, head_map.old_dim, head_dim)
-    donor3 = None if donor is None else donor.reshape(*lead, head_map.old_dim, head_dim)
-    out3 = expand_out_axis(np.swapaxes(w3, -1, -2), head_map,
-                           None if donor3 is None else np.swapaxes(donor3, -1, -2))
-    return np.swapaxes(out3, -1, -2).reshape(*lead, head_map.new_dim * head_dim)
-
-
-def expand_in_heads(w: np.ndarray, head_map: WidthMap, head_dim: int) -> np.ndarray:
-    """Grow an input axis at whole-head granularity, splitting by head
-    multiplicity (the attention output projection)."""
-    if w.shape[0] != head_map.old_dim * head_dim:
-        raise ValidationError(
-            f"input axis {w.shape[0]} != {head_map.old_dim} heads x {head_dim}"
-        )
-    w3 = w.reshape(head_map.old_dim, head_dim, -1)
-    mult = head_map.multiplicity[head_map.src_index].astype(w.dtype)
-    out3 = np.take(w3, head_map.src_index, axis=0) / mult[:, None, None]
-    return out3.reshape(head_map.new_dim * head_dim, w.shape[-1])
-
-
 def _check_width_growth(src: ModelConfig, tgt: ModelConfig) -> None:
     src.validate()
     tgt.validate()
@@ -186,64 +165,35 @@ def _expand_width(ckpt: Checkpoint, target: ModelConfig, use_donors: bool) -> Ch
     ckpt.validate()
     src = ckpt.config
     _check_width_growth(src, target)
-    hidden_map = build_width_map(src.hidden_dim, target.hidden_dim)
-    inter_map = build_width_map(src.intermediate_dim, target.intermediate_dim)
-    head_map = build_grouped_head_map(src.n_heads, target.n_heads, src.kv_groups)
-
-    # stage 1: input-axis expansion of every matrix (pure splitting)
-    split: dict[str, np.ndarray] = {}
-    for i in range(src.n_layers):
-        p = f"layers.{i}"
-        split[f"{p}.attn.wq"] = expand_in_axis(ckpt.tensors[f"{p}.attn.wq"], hidden_map)
-        split[f"{p}.attn.wk"] = expand_in_axis(ckpt.tensors[f"{p}.attn.wk"], hidden_map)
-        split[f"{p}.attn.wv"] = expand_in_axis(ckpt.tensors[f"{p}.attn.wv"], hidden_map)
-        split[f"{p}.attn.wo"] = expand_in_heads(
-            ckpt.tensors[f"{p}.attn.wo"], head_map, src.head_dim
-        )
-        split[f"{p}.mlp.w_gate"] = expand_in_axis(ckpt.tensors[f"{p}.mlp.w_gate"], hidden_map)
-        split[f"{p}.mlp.w_up"] = expand_in_axis(ckpt.tensors[f"{p}.mlp.w_up"], hidden_map)
-        split[f"{p}.mlp.w_down"] = expand_in_axis(ckpt.tensors[f"{p}.mlp.w_down"], inter_map)
-
-    # stage 2: output-axis expansion; donors come from the layer above
-    tensors: dict[str, np.ndarray] = {
-        "embed": expand_out_axis(ckpt.tensors["embed"], hidden_map),
-        "final_norm": expand_out_axis(ckpt.tensors["final_norm"], hidden_map),
-        "unembed": expand_in_axis(ckpt.tensors["unembed"], hidden_map),
+    maps = {
+        "hidden": build_width_map(src.hidden_dim, target.hidden_dim),
+        "inter": build_width_map(src.intermediate_dim, target.intermediate_dim),
+        "q": build_grouped_head_map(src.n_heads, target.n_heads, src.kv_groups)
+        .per_element(src.head_dim),
     }
-    for i in range(src.n_layers):
-        p = f"layers.{i}"
-        # topmost layer has no layer above and duplicates itself
-        dp = f"layers.{i + 1}" if use_donors and i + 1 < src.n_layers else p
-        tensors[f"{p}.attn_norm"] = expand_out_axis(ckpt.tensors[f"{p}.attn_norm"], hidden_map)
-        tensors[f"{p}.mlp_norm"] = expand_out_axis(ckpt.tensors[f"{p}.mlp_norm"], hidden_map)
-        tensors[f"{p}.attn.wq"] = expand_out_heads(
-            split[f"{p}.attn.wq"], head_map, src.head_dim,
-            donor=None if dp == p else split[f"{dp}.attn.wq"],
-        )
-        tensors[f"{p}.attn.wk"] = split[f"{p}.attn.wk"]
-        tensors[f"{p}.attn.wv"] = split[f"{p}.attn.wv"]
-        tensors[f"{p}.attn.wo"] = expand_out_axis(
-            split[f"{p}.attn.wo"], hidden_map,
-            donor=None if dp == p else split[f"{dp}.attn.wo"],
-        )
-        if src.qkv_bias:
-            # biases and gains sit on output axes and always self-duplicate
-            tensors[f"{p}.attn.q_bias"] = expand_out_heads(
-                ckpt.tensors[f"{p}.attn.q_bias"], head_map, src.head_dim
-            )
-            tensors[f"{p}.attn.k_bias"] = ckpt.tensors[f"{p}.attn.k_bias"].copy()
-            tensors[f"{p}.attn.v_bias"] = ckpt.tensors[f"{p}.attn.v_bias"].copy()
-        for name in ("w_gate", "w_up"):
-            tensors[f"{p}.mlp.{name}"] = expand_out_axis(
-                split[f"{p}.mlp.{name}"], inter_map,
-                donor=None if dp == p else split[f"{dp}.mlp.{name}"],
-            )
-        tensors[f"{p}.mlp.w_down"] = expand_out_axis(
-            split[f"{p}.mlp.w_down"], hidden_map,
-            donor=None if dp == p else split[f"{dp}.mlp.w_down"],
-        )
+    axes = tensor_axes(src)
 
-    out = Checkpoint(config=target, tensors={k: np.ascontiguousarray(v) for k, v in tensors.items()})
+    # input axes first (pure splitting): a matrix whose first axis grows
+    split = {
+        name: expand_in_axis(ckpt.tensors[name], maps[ax[0]])
+        if len(ax) == 2 and ax[0] in maps else ckpt.tensors[name]
+        for name, ax in axes.items()
+    }
+    # then output axes by duplication; below the top layer AKI takes the
+    # extra copies of a matrix from the same role in the layer above
+    tensors: dict[str, np.ndarray] = {}
+    for name, w in split.items():
+        last = axes[name][-1]
+        if last in maps:
+            donor = None
+            if use_donors and w.ndim == 2 and name.startswith("layers."):
+                _, i, role = name.split(".", 2)
+                if int(i) + 1 < src.n_layers:
+                    donor = split[f"layers.{int(i) + 1}.{role}"]
+            w = expand_out_axis(w, maps[last], donor)
+        tensors[name] = w.copy() if w is ckpt.tensors[name] else w
+
+    out = Checkpoint(config=target, tensors=tensors)
     out.validate()
     return out.freeze()
 
@@ -328,9 +278,9 @@ class GrowthPlan:
     @classmethod
     def from_dict(cls, data: dict) -> "GrowthPlan":
         required = {"method", "depth_mode", "source_config", "target_config"}
-        if set(data) != required:
+        if not isinstance(data, dict) or set(data) != required:
             raise ValidationError(
-                f"growth plan must have exactly the fields {sorted(required)}"
+                f"growth plan must be a JSON object with exactly the fields {sorted(required)}"
             )
         return cls(
             method=data["method"],

@@ -129,7 +129,7 @@ def build_graph(ckpt: Checkpoint, tokens, dtype=np.float32) -> ModelGraph:
     cfg = ckpt.config
     tokens = _check_tokens(tokens, cfg)
     batch, seq = tokens.shape
-    params = {name: Tensor(arr.astype(dtype)) for name, arr in ckpt.tensors.items()}
+    params = {name: Tensor(arr.astype(dtype, copy=False)) for name, arr in ckpt.tensors.items()}
     cos, sin = _rotary_tables(seq, cfg.head_dim, dtype)
     mask = np.triu(np.full((seq, seq), MASK_VALUE, dtype=dtype), k=1)
     group_of_head = np.arange(cfg.n_heads) // cfg.heads_per_group

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import Checkpoint, mlp_tensor_shapes
+from .checkpoint import Checkpoint, tensor_shapes
 from .config import MoEConfig
 from .errors import ValidationError
 from .tensor import Tensor
@@ -134,19 +134,15 @@ def upcycle(dense: Checkpoint, moe_cfg: MoEConfig, seed: int) -> Checkpoint:
     moe_cfg.validate()
     cfg = dense.config
     rng = np.random.default_rng(seed)
-    mlp_names = list(mlp_tensor_shapes(cfg))
     tensors: dict[str, np.ndarray] = {}
-    for name, arr in dense.tensors.items():
-        if ".mlp." not in name:
-            tensors[name] = arr.copy()
-    for i in range(cfg.n_layers):
-        p = f"layers.{i}"
-        tensors[f"{p}.moe.router"] = rng.normal(
-            0.0, moe_cfg.router_init_std, (cfg.hidden_dim, moe_cfg.n_experts)
-        ).astype(np.float32)
-        for j in range(moe_cfg.n_experts):
-            for n in mlp_names:
-                tensors[f"{p}.moe.expert.{j}.{n}"] = dense.tensors[f"{p}.mlp.{n}"].copy()
+    for name, shape in tensor_shapes(cfg, moe_cfg).items():
+        layer, is_expert, role = name.partition(".moe.expert.")
+        if name.endswith(".moe.router"):
+            tensors[name] = rng.normal(0.0, moe_cfg.router_init_std, shape).astype(np.float32)
+        elif is_expert:  # role is "{j}.{mlp role}"
+            tensors[name] = dense.tensors[f"{layer}.mlp.{role.split('.', 1)[1]}"].copy()
+        else:
+            tensors[name] = dense.tensors[name].copy()
     out = Checkpoint(config=cfg, tensors=tensors, moe=moe_cfg)
     out.validate()
     return out.freeze()

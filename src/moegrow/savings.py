@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from .config import from_fields
 from .errors import ValidationError
 
 
@@ -24,6 +25,9 @@ class PhaseSpec:
     model_size_B: float
     trained_tokens_B: float
     tokens_per_day_B: float
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> None:
         for fname in ("devices", "gflops_per_device", "model_size_B",
@@ -52,13 +56,7 @@ class PhaseSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PhaseSpec":
-        required = {"name", "devices", "gflops_per_device", "model_size_B",
-                    "trained_tokens_B", "tokens_per_day_B"}
-        if set(data) != required:
-            raise ValidationError(f"phase spec must have exactly the fields {sorted(required)}")
-        spec = cls(**data)
-        spec.validate()
-        return spec
+        return from_fields(cls, data, "phase")
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import Checkpoint, count_config_params
-from .config import ModelConfig, MoEConfig
+from .config import ModelConfig, MoEConfig, from_fields
 from .errors import TrainingDiverged, ValidationError
 from .model import build_graph, eval_loss, random_init
 from .moe import upcycle
@@ -68,13 +68,7 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValidationError(f"unknown train config fields: {sorted(unknown)}")
-        cfg = cls(**data)
-        cfg.validate()
-        return cfg
+        return from_fields(cls, data, "train")
 
 
 def lr_schedule(cfg: TrainConfig, step: int) -> float:

@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moegrow import (
     Checkpoint,
@@ -194,6 +196,73 @@ def test_load_rejects_unknown_dtype_tag(micro_ckpt, tmp_path):
     )
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
+
+
+def _edit_header(path, edit):
+    blob = (path / "tensors.bin").read_bytes()
+    (n,) = struct.unpack("<Q", blob[:8])
+    header = edit(json.loads(blob[8 : 8 + n]))
+    new_header = json.dumps(header).encode()
+    (path / "tensors.bin").write_bytes(
+        struct.pack("<Q", len(new_header)) + new_header + blob[8 + n :]
+    )
+
+
+def _edit_entry(change):
+    def edit(header):
+        change(header["embed"])
+        return header
+    return edit
+
+
+def _edit_config(path, edit):
+    doc = json.loads((path / "config.json").read_text())
+    (path / "config.json").write_text(json.dumps(edit(doc)))
+
+
+MALFORMED = {
+    "header is a list": lambda p: _edit_header(p, lambda h: []),
+    "entry without shape": lambda p: _edit_header(p, _edit_entry(lambda e: e.pop("shape"))),
+    "entry is a number": lambda p: _edit_header(p, lambda h: dict(h, embed=5)),
+    "shape is a string": lambda p: _edit_header(p, _edit_entry(lambda e: e.update(shape="ab"))),
+    "config is a list": lambda p: _edit_config(p, lambda doc: []),
+    "moe is a list": lambda p: _edit_config(p, lambda doc: dict(doc, moe=[])),
+    "offsets are floats": lambda p: _edit_header(
+        p, _edit_entry(lambda e: e.update(data_offsets=[float(v) for v in e["data_offsets"]]))
+    ),
+    "one offset": lambda p: _edit_header(
+        p, _edit_entry(lambda e: e.update(data_offsets=e["data_offsets"][:1]))
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_load_rejects_malformed_schema(micro_ckpt, tmp_path, case):
+    path = tmp_path / "ck"
+    save_checkpoint(micro_ckpt, path)
+    MALFORMED[case](path)
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+@settings(max_examples=150, deadline=None)
+@given(edits=st.lists(
+    st.tuples(st.integers(0, 2**16), st.one_of(st.sampled_from(b'0123456789[]{}",:-.e '),
+                                                st.integers(0, 255))),
+    min_size=1, max_size=4,
+))
+def test_header_byte_edits_raise_only_typed_errors(micro_ckpt, tmp_path_factory, edits):
+    path = tmp_path_factory.getbasetemp() / "header_fuzz"
+    save_checkpoint(micro_ckpt, path)
+    blob = bytearray((path / "tensors.bin").read_bytes())
+    (n,) = struct.unpack("<Q", blob[:8])
+    for pos, byte in edits:
+        blob[pos % (8 + n)] = byte
+    (path / "tensors.bin").write_bytes(bytes(blob))
+    try:
+        load_checkpoint(path)
+    except (CheckpointError, ValidationError):
+        pass
 
 
 def test_file_layout_header_then_raw_data(micro_ckpt, tmp_path):

@@ -1,12 +1,13 @@
 import dataclasses
 import json
+import struct
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from moegrow import load_checkpoint, load_tokens
+from moegrow import load_checkpoint, load_tokens, save_tokens
 from moegrow.cli import main
 
 MICRO = {
@@ -211,3 +212,52 @@ def test_console_script_help_and_savings(tmp_path):
     for name in ("init", "grow", "upcycle", "verify", "train", "eval",
                  "savings", "inspect", "synth"):
         assert name in result.stdout
+
+
+def _header_is_a_list(ws):
+    blob = (ws / "dense" / "tensors.bin").read_bytes()
+    (ws / "dense" / "tensors.bin").write_bytes(struct.pack("<Q", 2) + b"[]" + blob[8:])
+
+
+def _config_is_a_list(ws):
+    (ws / "dense" / "config.json").write_text("[]")
+
+
+def _moe_is_a_list(ws):
+    (ws / "dense" / "config.json").write_text(json.dumps(dict(MICRO, moe=[])))
+
+
+def _partial_token(ws):
+    with open(ws / "data.u32", "ab") as fh:
+        fh.write(b"\x01\x00")
+
+
+def _missing_tokens(ws):
+    (ws / "data.u32").unlink()
+
+
+EVAL = ["eval", "--in", "{ws}/dense", "--data", "{ws}/data.u32"]
+
+
+@pytest.mark.parametrize("argv, break_input, code", [
+    (EVAL, _header_is_a_list, 2),
+    (EVAL, _config_is_a_list, 2),
+    (EVAL, _moe_is_a_list, 2),
+    (EVAL, _missing_tokens, 2),
+    (EVAL, _partial_token, 1),
+    (["train", "--in", "{ws}/dense", "--data", "{ws}/data.u32", "--config", "{ws}/list.json",
+      "--out", "{ws}/x"], None, 1),
+    (["grow", "--in", "{ws}/dense", "--plan", "{ws}/number.json", "--out", "{ws}/x"], None, 1),
+], ids=["header-list", "config-list", "moe-list", "missing-tokens", "partial-token",
+        "train-config-list", "plan-number"])
+def test_malformed_input_exits_with_an_error_line(workspace, capsys, argv, break_input, code):
+    run(["init", "--config", workspace / "config.json", "--seed", 0, "--out", workspace / "dense"])
+    save_tokens(workspace / "data.u32", np.arange(40) % 16)
+    (workspace / "list.json").write_text("[]")
+    (workspace / "number.json").write_text("5")
+    if break_input is not None:
+        break_input(workspace)
+    capsys.readouterr()
+    assert run([a.format(ws=workspace) for a in argv]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from moegrow import ModelConfig, MoEConfig, ValidationError
+from moegrow import ModelConfig, MoEConfig, TrainConfig, ValidationError
 
 
 def test_derived_dims(micro_config):
@@ -89,3 +89,19 @@ def test_invalid_moe_configs(bad):
 def test_moe_roundtrip():
     moe = MoEConfig(n_experts=16, top_k=4, z_coeff=0.0)
     assert MoEConfig.from_dict(moe.to_dict()) == moe
+
+
+@pytest.mark.parametrize("cls", [ModelConfig, MoEConfig, TrainConfig])
+@pytest.mark.parametrize("data", [[], "ab", 5, None])
+def test_from_dict_rejects_non_objects(cls, data):
+    with pytest.raises(ValidationError, match="JSON object"):
+        cls.from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "cls, data",
+    [(MoEConfig, {"aux_coeff": "high"}), (TrainConfig, {"lr": "fast"})],
+)
+def test_from_dict_rejects_wrong_field_types(cls, data):
+    with pytest.raises(ValidationError):
+        cls.from_dict(data)

@@ -92,8 +92,16 @@ def test_token_file_roundtrip(tmp_path, corpus):
 
 
 def test_load_tokens_missing_file(tmp_path):
-    with pytest.raises(ValidationError):
+    with pytest.raises(FileNotFoundError):
         load_tokens(tmp_path / "absent.u32")
+
+
+def test_load_tokens_rejects_partial_token(tmp_path):
+    path = tmp_path / "tokens.u32"
+    save_tokens(path, np.array([1, 2]))
+    path.write_bytes(path.read_bytes()[:6])
+    with pytest.raises(ValidationError, match="6 bytes"):
+        load_tokens(path)
 
 
 def test_unigram_entropy_bounds():

@@ -3,18 +3,19 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moegrow import (
     GrowthPlan,
+    ModelConfig,
     ValidationError,
     aki_expand,
     build_grouped_head_map,
     build_width_map,
     depth_source_indices,
     expand_in_axis,
-    expand_in_heads,
     expand_out_axis,
-    expand_out_heads,
     fpi_expand,
     grow_depth,
     random_init,
@@ -65,6 +66,19 @@ def test_grouped_head_map_interleaves_primaries():
     wmap = build_grouped_head_map(2, 4, kv_groups=2)
     assert wmap.src_index.tolist() == [0, 0, 1, 1]
     assert wmap.primary_mask().tolist() == [True, False, True, False]
+
+
+def test_per_element_head_map_golden():
+    # one entry per head element; a head's elements share its multiplicity
+    # and its primary flag
+    wmap = build_grouped_head_map(2, 4, kv_groups=2).per_element(2)
+    assert wmap.src_index.tolist() == [0, 1, 0, 1, 2, 3, 2, 3]
+    assert wmap.multiplicity.tolist() == [2, 2, 2, 2]
+    assert wmap.primary_mask().tolist() == [True, True, False, False] * 2
+    wmap.validate()
+    uneven = build_width_map(2, 3).per_element(2)
+    assert uneven.src_index.tolist() == [0, 1, 2, 3, 0, 1]
+    assert uneven.multiplicity.tolist() == [2, 2, 1, 1]
 
 
 def test_grouped_head_map_rejects_bad_divisibility():
@@ -125,7 +139,7 @@ def test_head_granular_output_expansion():
     head_dim = 3
     w = RNG.normal(size=(5, 2 * head_dim))
     wmap = build_width_map(2, 5)
-    grown = expand_out_heads(w, wmap, head_dim)
+    grown = expand_out_axis(w, wmap.per_element(head_dim))
     assert grown.shape == (5, 5 * head_dim)
     for t, s in enumerate(wmap.src_index):
         np.testing.assert_array_equal(
@@ -138,7 +152,7 @@ def test_head_granular_input_split_preserves_product():
     head_dim, old_heads, new_heads = 4, 2, 6
     wmap = build_width_map(old_heads, new_heads)
     wo = RNG.normal(size=(old_heads * head_dim, 7))
-    grown = expand_in_heads(wo, wmap, head_dim)
+    grown = expand_in_axis(wo, wmap.per_element(head_dim))
     ctx = RNG.normal(size=(old_heads, head_dim))
     ctx_dup = ctx[wmap.src_index].reshape(-1)
     np.testing.assert_allclose(ctx_dup @ grown, ctx.reshape(-1) @ wo, atol=1e-12)
@@ -153,7 +167,7 @@ def test_axis_expansion_shape_errors():
     with pytest.raises(ValidationError):
         expand_out_axis(RNG.normal(size=(3, 4)), wmap, donor=RNG.normal(size=(4, 4)))
     with pytest.raises(ValidationError):
-        expand_in_heads(RNG.normal(size=(9, 2)), wmap, head_dim=2)
+        expand_in_axis(RNG.normal(size=(9, 2)), wmap.per_element(2))
 
 
 # -- whole-model width growth ------------------------------------------------
@@ -200,6 +214,39 @@ def test_quadrupling_preserves_within_tolerance(micro_ckpt, micro_config):
     grown = fpi_expand(micro_ckpt, target)
     report = verify_preservation(micro_ckpt, grown, n_probes=8, probe_len=12)
     assert report.passed
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n_layers=st.integers(1, 2),
+    kv_groups=st.sampled_from([1, 2, 4]),
+    heads_per_group=st.integers(1, 2),
+    head_dim=st.sampled_from([2, 4]),
+    intermediate_dim=st.integers(2, 8),
+    qkv_bias=st.booleans(),
+    head_growth=st.integers(1, 3),
+    mlp_growth=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+)
+def test_fpi_preserves_function_over_integer_multiples(
+    n_layers, kv_groups, heads_per_group, head_dim, intermediate_dim, qkv_bias,
+    head_growth, mlp_growth, seed,
+):
+    heads = kv_groups * heads_per_group
+    src = ModelConfig(
+        n_layers=n_layers, hidden_dim=heads * head_dim, n_heads=heads, head_dim=head_dim,
+        kv_groups=kv_groups, intermediate_dim=intermediate_dim, vocab_size=16,
+        qkv_bias=qkv_bias, context_length=16,
+    )
+    target = dataclasses.replace(
+        src, n_heads=head_growth * heads, hidden_dim=head_growth * heads * head_dim,
+        intermediate_dim=mlp_growth * intermediate_dim,
+    )
+    ckpt = random_init(src, seed=seed, init_std=0.4)
+    grown = fpi_expand(ckpt, target)
+    report = verify_preservation(ckpt, grown, n_probes=2, probe_len=8, seed=seed,
+                                 dtype=np.float64, tol=1e-5)
+    assert report.passed, report
 
 
 def test_uneven_hidden_growth_is_reported_not_hidden(micro_ckpt, micro_config):

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moegrow import (
     ModelConfig,
@@ -284,6 +286,17 @@ def test_upcycle_preserves_function(micro_ckpt, router_seed):
     report = verify_preservation(micro_ckpt, sparse, n_probes=8, probe_len=12)
     assert report.passed
     assert report.max_abs_logit_diff <= 1e-5
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data(), n_experts=st.integers(2, 8), seed=st.integers(0, 2**16))
+def test_upcycle_identity_over_expert_layouts(micro_ckpt, data, n_experts, seed):
+    top_k = data.draw(st.integers(1, n_experts), label="top_k")
+    moe = MoEConfig(n_experts=n_experts, top_k=top_k, router_init_std=0.5)
+    sparse = upcycle(micro_ckpt, moe, seed=seed)
+    report = verify_preservation(micro_ckpt, sparse, n_probes=2, probe_len=8, seed=seed,
+                                 dtype=np.float64, tol=1e-5)
+    assert report.passed, report
 
 
 def test_upcycle_without_renormalization_shrinks_output(micro_ckpt):

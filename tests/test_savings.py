@@ -130,3 +130,8 @@ def test_load_plan_errors():
     doc["phases"][0]["extra_column"] = 1
     with pytest.raises(ValidationError):
         load_plan(json.dumps(doc))
+    with pytest.raises(ValidationError, match="JSON object"):
+        load_plan(json.dumps({"phases": [5], "baseline": BASELINE.to_dict()}))
+    doc = {"phases": [dict(PREPARATION.to_dict(), devices="many")], "baseline": BASELINE.to_dict()}
+    with pytest.raises(ValidationError):
+        load_plan(json.dumps(doc))
