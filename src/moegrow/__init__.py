@@ -55,6 +55,7 @@ from .savings import (
     savings_report,
     time_savings_factor,
 )
+from .tensor import no_tape
 from .train import MetricLog, TrainConfig, grad_check, lr_schedule, train
 
 __all__ = [
@@ -98,6 +99,7 @@ __all__ = [
     "make_synthetic_corpus",
     "max_z_loss",
     "moe_total_loss",
+    "no_tape",
     "power_savings_factor",
     "random_init",
     "route",

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -54,14 +55,30 @@ ROLES: dict[str, tuple[str, ...]] = {
 }
 
 
+def _kept(role: str, config: ModelConfig, moe: MoEConfig | None) -> bool:
+    return (config.qkv_bias or not role.endswith("_bias")) and (moe is not None or ".moe." not in role)
+
+
+def tensor_count(config: ModelConfig, moe: MoEConfig | None = None) -> int:
+    """Number of tensors a config implies, counted without laying out names."""
+    total = 0
+    for role in ROLES:
+        if not _kept(role, config, moe):
+            continue
+        copies = config.n_layers if role.startswith(_LAYER) else 1
+        if moe is not None and role.startswith(_LAYER + "mlp."):
+            copies *= moe.n_experts
+        total += copies
+    return total
+
+
 def _layout(values: dict, config: ModelConfig, moe: MoEConfig | None) -> dict:
     """Lay a per-role table (ROLES, or one derived from it) out over the
     tensor names a config implies, in canonical order."""
     out = {}
     for per_layer, group in itertools.groupby(values.items(), lambda item: item[0].startswith(_LAYER)):
         roles = [(role.removeprefix(_LAYER), value) for role, value in group
-                 if (config.qkv_bias or not role.endswith("_bias"))
-                 and (moe is not None or ".moe." not in role)]
+                 if _kept(role, config, moe)]
         if not per_layer:
             out.update(roles)
             continue
@@ -166,7 +183,12 @@ def _count(sizes: dict[str, int], moe: MoEConfig | None) -> ParamCount:
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
-    """Write a checkpoint directory; load(save(c)) is bitwise identical to c."""
+    """Write a checkpoint directory; load(save(c)) is bitwise identical to c.
+
+    Both files are written under temporary names in the directory and then
+    renamed over the old ones, so a save that fails leaves the previous
+    checkpoint whole and no temporary file behind.
+    """
     ckpt.validate()
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
@@ -174,7 +196,6 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     config_doc = ckpt.config.to_dict()
     if ckpt.moe is not None:
         config_doc["moe"] = ckpt.moe.to_dict()
-    (path / CONFIG_FILE).write_text(json.dumps(config_doc, indent=2) + "\n", encoding="utf-8")
 
     names = sorted(ckpt.tensors)
     header: dict[str, dict] = {}
@@ -189,15 +210,36 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
         }
         offset += nbytes
     header_bytes = json.dumps(header).encode("utf-8")
-    with open(path / TENSORS_FILE, "wb") as fh:
+
+    def write_tensors(fh) -> None:
         fh.write(struct.pack("<Q", len(header_bytes)))
         fh.write(header_bytes)
         for name in names:
-            fh.write(np.ascontiguousarray(ckpt.tensors[name], dtype="<f4").tobytes())
+            fh.write(memoryview(np.ascontiguousarray(ckpt.tensors[name], "<f4")).cast("B"))
+
+    config_bytes = (json.dumps(config_doc, indent=2) + "\n").encode("utf-8")
+    staged: list[tuple[Path, Path]] = []
+    try:
+        for name, write in ((TENSORS_FILE, write_tensors),
+                            (CONFIG_FILE, lambda fh: fh.write(config_bytes))):
+            tmp = path / f".{name}.{os.getpid()}.tmp"
+            staged.append((tmp, path / name))
+            with open(tmp, "wb") as fh:
+                write(fh)
+        for tmp, target in staged:
+            os.replace(tmp, target)
+    except BaseException:
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    """Read a checkpoint directory, validating structure and values."""
+    """Read a checkpoint directory, validating structure and values.
+
+    The tensor data is read once into one buffer; every tensor is a
+    read-only view of it.
+    """
     path = Path(path)
     config_path = path / CONFIG_FILE
     tensors_path = path / TENSORS_FILE
@@ -216,44 +258,71 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     config = ModelConfig.from_dict(config_doc)
     moe = MoEConfig.from_dict(moe_doc) if moe_doc is not None else None
 
-    raw = tensors_path.read_bytes()
-    if len(raw) < 8:
-        raise CheckpointError(f"truncated {TENSORS_FILE}: missing header length")
-    (header_len,) = struct.unpack("<Q", raw[:8])
-    if 8 + header_len > len(raw):
-        raise CheckpointError(f"truncated {TENSORS_FILE}: header extends past end of file")
-    try:
-        header = json.loads(raw[8 : 8 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"unparseable tensor header: {exc}") from exc
-    if not isinstance(header, dict):
-        raise CheckpointError("tensor header must be a JSON object")
-
-    data = raw[8 + header_len :]
-    tensors: dict[str, np.ndarray] = {}
-    for name, meta in header.items():
-        if not isinstance(meta, dict):
-            raise CheckpointError(f"header entry of tensor {name!r} must be a JSON object")
-        if meta.get("dtype") != _DTYPE_TAG:
-            raise CheckpointError(f"tensor {name!r} has unsupported dtype {meta.get('dtype')!r}")
-        shape, offsets = meta.get("shape"), meta.get("data_offsets")
-        if not (_is_count_list(shape) and _is_count_list(offsets) and len(offsets) == 2):
-            raise CheckpointError(
-                f"tensor {name!r} needs a shape and two data_offsets, "
-                "as lists of non-negative integers"
+    with open(tensors_path, "rb") as fh:
+        file_size = os.fstat(fh.fileno()).st_size
+        head = fh.read(8)
+        if len(head) < 8:
+            raise CheckpointError(f"truncated {TENSORS_FILE}: missing header length")
+        (header_len,) = struct.unpack("<Q", head)
+        if 8 + header_len > file_size:
+            raise CheckpointError(f"truncated {TENSORS_FILE}: header extends past end of file")
+        try:
+            header = json.loads(fh.read(header_len).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CheckpointError(f"unparseable tensor header: {exc}") from exc
+        if not isinstance(header, dict):
+            raise CheckpointError("tensor header must be a JSON object")
+        expected = tensor_count(config, moe)
+        if len(header) != expected:
+            raise ValidationError(
+                f"{CONFIG_FILE} implies {expected} tensors, {TENSORS_FILE} holds {len(header)}"
             )
-        shape = tuple(shape)
-        begin, end = offsets
-        if not 0 <= begin <= end <= len(data):
-            raise CheckpointError(f"truncated {TENSORS_FILE}: tensor {name!r} data out of bounds")
-        if end - begin != math.prod(shape) * 4:
-            raise CheckpointError(f"tensor {name!r} byte length does not match shape {shape}")
-        arr = np.frombuffer(data, dtype="<f4", count=math.prod(shape), offset=begin)
-        tensors[name] = arr.reshape(shape).copy()
 
+        data_size = file_size - 8 - header_len
+        spans: dict[str, tuple[int, int, tuple[int, ...]]] = {}
+        for name, meta in header.items():
+            if not isinstance(meta, dict):
+                raise CheckpointError(f"header entry of tensor {name!r} must be a JSON object")
+            if meta.get("dtype") != _DTYPE_TAG:
+                raise CheckpointError(f"tensor {name!r} has unsupported dtype {meta.get('dtype')!r}")
+            shape, offsets = meta.get("shape"), meta.get("data_offsets")
+            if not (_is_count_list(shape) and _is_count_list(offsets) and len(offsets) == 2):
+                raise CheckpointError(
+                    f"tensor {name!r} needs a shape and two data_offsets, "
+                    "as lists of non-negative integers"
+                )
+            shape = tuple(shape)
+            begin, end = offsets
+            if not 0 <= begin <= end <= data_size:
+                raise CheckpointError(f"truncated {TENSORS_FILE}: tensor {name!r} data out of bounds")
+            if end - begin != math.prod(shape) * 4:
+                raise CheckpointError(f"tensor {name!r} byte length does not match shape {shape}")
+            spans[name] = (begin, end, shape)
+        _check_disjoint(spans)
+
+        # bytes after the last tensor are never read
+        data = np.empty(max((end for _, end, _ in spans.values()), default=0), dtype=np.uint8)
+        if fh.readinto(memoryview(data)) != data.size:
+            raise CheckpointError(f"truncated {TENSORS_FILE}: data ends early")
+
+    tensors = {
+        name: np.frombuffer(data, dtype="<f4", count=math.prod(shape), offset=begin).reshape(shape)
+        for name, (begin, _, shape) in spans.items()
+    }
     ckpt = Checkpoint(config=config, tensors=tensors, moe=moe)
     ckpt.validate()
     return ckpt.freeze()
+
+
+def _check_disjoint(spans: dict[str, tuple[int, int, tuple[int, ...]]]) -> None:
+    """Reject tensors whose bytes overlap, which would load as aliases."""
+    prev_name, prev_end = None, 0
+    for name, (begin, end, _) in sorted(spans.items(), key=lambda item: item[1][:2]):
+        if begin == end:
+            continue
+        if begin < prev_end:
+            raise CheckpointError(f"tensors {prev_name!r} and {name!r} overlap in {TENSORS_FILE}")
+        prev_name, prev_end = name, end
 
 
 def _is_count_list(value) -> bool:

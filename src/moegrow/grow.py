@@ -27,6 +27,7 @@ from .checkpoint import Checkpoint, tensor_axes
 from .config import ModelConfig
 from .errors import ValidationError
 from .model import build_graph
+from .tensor import no_tape
 
 
 @dataclass(frozen=True)
@@ -321,7 +322,8 @@ class PreservationReport:
 def verify_preservation(src_ckpt: Checkpoint, dst_ckpt: Checkpoint, n_probes: int = 16,
                         seed: int = 0, tol: float = 1e-5, probe_len: int = 16,
                         dtype=np.float32) -> PreservationReport:
-    """Compare two models' logits on random probe sequences.
+    """Compare two models' logits on random probe sequences, run without a
+    tape.
 
     Passes iff the max absolute logit difference stays within tol. The
     report is always returned, so non-integer-multiple growth can still be
@@ -335,8 +337,9 @@ def verify_preservation(src_ckpt: Checkpoint, dst_ckpt: Checkpoint, n_probes: in
     length = max(length, 2)
     rng = np.random.default_rng(seed)
     probes = rng.integers(0, src_ckpt.config.vocab_size, size=(n_probes, length))
-    g_src = build_graph(src_ckpt, probes, dtype=dtype)
-    g_dst = build_graph(dst_ckpt, probes, dtype=dtype)
+    with no_tape():
+        g_src = build_graph(src_ckpt, probes, dtype=dtype)
+        g_dst = build_graph(dst_ckpt, probes, dtype=dtype)
     max_diff = float(np.max(np.abs(g_src.logits.data - g_dst.logits.data)))
     loss_diff = float(abs(g_src.loss.data - g_dst.loss.data))
     return PreservationReport(

@@ -19,7 +19,7 @@ from .checkpoint import Checkpoint, tensor_shapes
 from .config import ModelConfig
 from .errors import TrainingDiverged, ValidationError
 from .moe import load_balance_term, route_batch, z_term
-from .tensor import Tensor, concat
+from .tensor import Tensor, concat, no_tape
 
 ROTARY_BASE = 10000.0
 NORM_EPS = 1e-5
@@ -44,7 +44,8 @@ class ForwardTrace:
 
 @dataclass
 class ModelGraph:
-    """A live tape for one batch: leaves, heads, and routing byproducts."""
+    """One batch's forward pass: leaves, heads, and routing byproducts; a
+    live tape unless built inside ``no_tape()``."""
 
     params: dict[str, Tensor]
     logits: Tensor
@@ -121,7 +122,8 @@ def _check_tokens(tokens: np.ndarray, config: ModelConfig) -> np.ndarray:
 
 
 def build_graph(ckpt: Checkpoint, tokens, dtype=np.float32) -> ModelGraph:
-    """Run the model forward on a (batch of) sequence(s), keeping the tape.
+    """Run the model forward on a (batch of) sequence(s), keeping the tape
+    unless called inside ``no_tape()``.
 
     The objective is the mean next-token cross entropy, plus the coefficient
     weighted auxiliary and z losses when the checkpoint is routed.
@@ -206,11 +208,13 @@ def build_graph(ckpt: Checkpoint, tokens, dtype=np.float32) -> ModelGraph:
 
 
 def forward(ckpt: Checkpoint, tokens, dtype=np.float32) -> ForwardTrace:
-    """Logits and per-position next-token losses for a single sequence."""
+    """Logits and per-position next-token losses for a single sequence,
+    computed without a tape."""
     tokens = np.asarray(tokens)
     if tokens.ndim != 1:
         raise ValidationError("forward expects a single 1-D token sequence")
-    graph = build_graph(ckpt, tokens, dtype=dtype)
+    with no_tape():
+        graph = build_graph(ckpt, tokens, dtype=dtype)
     if graph.ce is None:
         per_pos = np.zeros(0, dtype=dtype)
         loss = float("nan")
@@ -232,10 +236,10 @@ def eval_loss(ckpt: Checkpoint, dataset, seq_len: int, dtype=np.float32,
 
     Each window consumes seq_len+1 consecutive tokens (seq_len inputs plus
     the final target); trailing tokens that do not fill a window are dropped.
-    Windows are forwarded in chunks of at most max_chunk_tokens tokens so a
-    long dataset does not hold every retained activation live at once; every
-    window predicts the same number of tokens, so the overall mean is the
-    window-weighted mean of the chunk means.
+    Windows are forwarded without a tape, in chunks of at most
+    max_chunk_tokens tokens; every window predicts the same number of
+    tokens, so the overall mean is the window-weighted mean of the chunk
+    means.
     """
     dataset = np.asarray(dataset)
     if dataset.ndim != 1:
@@ -251,10 +255,11 @@ def eval_loss(ckpt: Checkpoint, dataset, seq_len: int, dtype=np.float32,
     batch = dataset[: n_windows * window].reshape(n_windows, window)
     per_chunk = max(1, max_chunk_tokens // window)
     total = 0.0
-    for start in range(0, n_windows, per_chunk):
-        chunk = batch[start : start + per_chunk]
-        graph = build_graph(ckpt, chunk, dtype=dtype)
-        total += float(graph.loss.data) * chunk.shape[0]
+    with no_tape():
+        for start in range(0, n_windows, per_chunk):
+            chunk = batch[start : start + per_chunk]
+            graph = build_graph(ckpt, chunk, dtype=dtype)
+            total += float(graph.loss.data) * chunk.shape[0]
     return total / n_windows
 
 

@@ -4,11 +4,35 @@ Just enough ops for a decoder-only transformer with routed MLP blocks:
 elementwise arithmetic, batched matmul, shape ops, gathers/scatters with
 unique indices, softmax/logsumexp, and a fused next-token cross entropy.
 Graphs are built eagerly; ``backward()`` runs one reverse topological pass.
+Inside ``no_tape()`` ops record nothing, for forward passes nobody
+differentiates.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
+
 import numpy as np
+
+# per thread (and per asyncio task), so a forward-only pass in one thread
+# does not drop the tape of training in another
+_recording: ContextVar[bool] = ContextVar("recording", default=True)
+
+
+@contextmanager
+def no_tape():
+    """Build parentless nodes with no backward closure while active.
+
+    Nothing then keeps an intermediate array alive once the next op has
+    consumed it, so a forward pass holds about one layer's activations
+    instead of the whole graph. Values are bitwise those of a taped pass.
+    """
+    token = _recording.set(False)
+    try:
+        yield
+    finally:
+        _recording.reset(token)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -55,6 +79,8 @@ class Tensor:
         return Tensor(np.asarray(other, dtype=dtype))
 
     def _make(self, data, parents, backward) -> "Tensor":
+        if not _recording.get():
+            return Tensor(data)
         out = Tensor(data, parents)
         out._backward = backward
         return out
@@ -345,6 +371,9 @@ def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
     def backward(g):
         return tuple(np.split(g, bounds, axis=axis))
 
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors))
+    data = np.concatenate([t.data for t in tensors], axis=axis)
+    if not _recording.get():
+        return Tensor(data)
+    out = Tensor(data, tuple(tensors))
     out._backward = backward
     return out

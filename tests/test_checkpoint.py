@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -353,3 +354,83 @@ def test_freeze_blocks_writes(micro_config):
     frozen = ckpt.freeze()
     with pytest.raises((ValueError, RuntimeError)):
         frozen.tensors["embed"][0, 0] = 1.0
+
+
+def traced_peak(fn):
+    """Peak bytes traced while fn runs, and what it returned or raised."""
+    tracemalloc.start()
+    try:
+        try:
+            result = fn()
+        except Exception as exc:  # returned for the caller to assert on
+            result = exc
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+def test_load_holds_one_copy_of_the_data(tmp_path):
+    cfg = ModelConfig(
+        n_layers=2, hidden_dim=256, n_heads=8, head_dim=32, kv_groups=4,
+        intermediate_dim=512, vocab_size=512, qkv_bias=True, context_length=64,
+    )
+    ckpt = random_init(cfg, seed=0)
+    save_checkpoint(ckpt, tmp_path)
+    data_bytes = sum(arr.nbytes for arr in ckpt.tensors.values())
+    peak, loaded = traced_peak(lambda: load_checkpoint(tmp_path))
+    assert isinstance(loaded, Checkpoint)
+    assert peak < 1.25 * data_bytes, peak / data_bytes
+    for name, arr in ckpt.tensors.items():
+        assert loaded.tensors[name].tobytes() == arr.tobytes()
+        assert not loaded.tensors[name].flags.writeable
+
+
+@pytest.mark.parametrize("shift", [0, 4])
+def test_load_rejects_overlapping_tensors(micro_ckpt, tmp_path, shift):
+    # unembed (hidden, vocab) has embed's byte length, so only the overlap is wrong
+    def alias(header):
+        begin, end = header["embed"]["data_offsets"]
+        header["unembed"]["data_offsets"] = [begin + shift, end + shift]
+        return header
+
+    save_checkpoint(micro_ckpt, tmp_path)
+    _edit_header(tmp_path, alias)
+    with pytest.raises(CheckpointError, match="overlap"):
+        load_checkpoint(tmp_path)
+
+
+def test_a_save_that_fails_partway_leaves_the_old_checkpoint(micro_ckpt, micro_config,
+                                                            tmp_path, monkeypatch):
+    save_checkpoint(micro_ckpt, tmp_path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    real = np.ascontiguousarray
+    calls = []
+
+    def fail_on_third_tensor(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise OSError("no space left on device")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "ascontiguousarray", fail_on_third_tensor)
+    with pytest.raises(OSError, match="no space"):
+        save_checkpoint(random_init(micro_config, seed=99), tmp_path)
+    monkeypatch.undo()
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    loaded = load_checkpoint(tmp_path)
+    for name, arr in micro_ckpt.tensors.items():
+        assert loaded.tensors[name].tobytes() == arr.tobytes()
+
+    other = random_init(micro_config, seed=99)
+    save_checkpoint(other, tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "tensors.bin"]
+    assert load_checkpoint(tmp_path).tensors["embed"].tobytes() == other.tensors["embed"].tobytes()
+
+
+def test_load_rejects_a_config_claiming_more_layers_before_expanding_it(micro_ckpt, tmp_path):
+    save_checkpoint(micro_ckpt, tmp_path)
+    _edit_config(tmp_path, lambda doc: dict(doc, n_layers=100_000))
+    peak, error = traced_peak(lambda: load_checkpoint(tmp_path))
+    assert peak < 10 * 2**20, peak
+    assert isinstance(error, ValidationError), error
+    assert "implies" in str(error)

@@ -11,6 +11,7 @@ from moegrow import (
     ModelConfig,
     ValidationError,
     aki_expand,
+    build_graph,
     build_grouped_head_map,
     build_width_map,
     depth_source_indices,
@@ -518,3 +519,19 @@ def test_verify_preservation_rejects_vocab_mismatch(micro_ckpt, micro_config):
     other = random_init(dataclasses.replace(micro_config, vocab_size=32), seed=0)
     with pytest.raises(ValidationError):
         verify_preservation(micro_ckpt, other)
+
+
+@pytest.mark.parametrize("routed", [False, True])
+def test_verify_preservation_reports_what_taped_graphs_give(micro_ckpt, micro_config,
+                                                            moe_small, routed):
+    # AKI does not preserve the function, so the figures compared are not 0
+    dst = aki_expand(micro_ckpt, doubled(micro_config))
+    src = micro_ckpt
+    if routed:
+        src, dst = upcycle(src, moe_small, seed=5), upcycle(dst, moe_small, seed=5)
+    report = verify_preservation(src, dst, n_probes=4, probe_len=10, seed=3)
+    probes = np.random.default_rng(3).integers(0, micro_config.vocab_size, size=(4, 10))
+    a, b = build_graph(src, probes), build_graph(dst, probes)
+    assert report.max_abs_logit_diff == float(np.max(np.abs(a.logits.data - b.logits.data)))
+    assert report.loss_diff == float(abs(a.loss.data - b.loss.data))
+    assert report.max_abs_logit_diff > 0

@@ -11,7 +11,9 @@ from moegrow import (
     eval_loss,
     forward,
     random_init,
+    upcycle,
 )
+from moegrow import model as model_module
 from moegrow.model import build_graph
 
 
@@ -222,3 +224,64 @@ def test_no_bias_config_runs(micro_config):
     assert np.isfinite(trace.logits).all()
     grads = backward(ckpt, tokens_for(cfg, 15, 8).reshape(1, -1))
     assert not any("bias" in n for n in grads)
+
+
+def taped_eval_loss(ckpt, data, seq_len, max_chunk_tokens):
+    window = seq_len + 1
+    n = data.size // window
+    batch = data[: n * window].reshape(n, window)
+    per_chunk = max(1, max_chunk_tokens // window)
+    total = 0.0
+    for start in range(0, n, per_chunk):
+        chunk = batch[start : start + per_chunk]
+        total += float(build_graph(ckpt, chunk).loss.data) * chunk.shape[0]
+    return total / n
+
+
+@pytest.mark.parametrize("routed", [False, True])
+def test_untaped_evaluation_is_bitwise_the_taped_pass(micro_ckpt, micro_config, moe_small, routed):
+    ckpt = upcycle(micro_ckpt, moe_small, seed=4) if routed else micro_ckpt
+    toks = tokens_for(micro_config, 16, 12)
+    graph = build_graph(ckpt, toks)
+    trace = forward(ckpt, toks)
+    assert trace.logits.tobytes() == graph.logits.data[0].tobytes()
+    assert trace.loss_per_position.tobytes() == graph.ce.data[0].tobytes()
+    assert trace.loss == float(graph.loss.data)
+    if routed:
+        assert trace.aux_loss == float(graph.aux.data)
+        assert trace.z_loss == float(graph.z.data)
+    data = tokens_for(micro_config, 17, 300)
+    assert eval_loss(ckpt, data, seq_len=8, max_chunk_tokens=40) == taped_eval_loss(
+        ckpt, data, 8, max_chunk_tokens=40
+    )
+
+
+def test_evaluation_keeps_no_tape_and_sets_no_grad(micro_ckpt, micro_config, moe_small,
+                                                   monkeypatch):
+    graphs = []
+
+    def keep(*args, **kwargs):
+        graphs.append(build_graph(*args, **kwargs))
+        return graphs[-1]
+
+    monkeypatch.setattr(model_module, "build_graph", keep)
+    routed = upcycle(micro_ckpt, moe_small, seed=4)
+    for ckpt in (micro_ckpt, routed):
+        eval_loss(ckpt, tokens_for(micro_config, 18, 60), seq_len=8)
+        forward(ckpt, tokens_for(micro_config, 19, 10))
+    assert len(graphs) == 4
+    for graph in graphs:
+        assert graph.loss._parents == () and graph.logits._parents == ()
+        graph.loss.backward()
+        assert all(leaf.grad is None for leaf in graph.params.values())
+
+
+def test_an_eval_that_raises_leaves_the_tape_on(micro_ckpt, micro_config):
+    bad = tokens_for(micro_config, 20, 40)
+    bad[3] = micro_config.vocab_size
+    with pytest.raises(ValidationError):
+        eval_loss(micro_ckpt, bad, seq_len=8)
+    toks = tokens_for(micro_config, 21, 10).reshape(1, -1)
+    grads = backward(micro_ckpt, toks)
+    assert set(grads) == set(micro_ckpt.tensors)
+    assert all(g is not None and g.shape == micro_ckpt.tensors[n].shape for n, g in grads.items())

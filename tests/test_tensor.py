@@ -4,10 +4,12 @@ Every op's backward is compared against central finite differences of the
 same scalar, computed with plain numpy so the two routes share no code.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
-from moegrow.tensor import Tensor, concat
+from moegrow.tensor import Tensor, concat, no_tape
 
 RNG = np.random.default_rng(7)
 
@@ -243,3 +245,29 @@ def test_backward_on_reused_graph_is_rejected_or_fresh():
     (t2 * 5).sum().backward()
     np.testing.assert_allclose(t1.grad, [3.0, 3.0])
     np.testing.assert_allclose(t2.grad, [5.0, 5.0])
+
+
+def test_no_tape_records_nothing_and_restores_the_tape():
+    x = Tensor(RNG.normal(size=(3, 4)))
+    with no_tape():
+        with no_tape():
+            pass
+        y = concat([x * 2.0, x.exp()], axis=-1).sum()
+    assert y._parents == () and y._backward is None
+    with pytest.raises(RuntimeError), no_tape():
+        raise RuntimeError("inside the switch")
+    z = concat([x * 2.0, x.exp()], axis=-1).sum()
+    assert z.data == y.data
+    z.backward()
+    assert np.array_equal(x.grad, 2.0 + np.exp(x.data))
+
+
+def test_no_tape_does_not_reach_other_threads():
+    x = Tensor(RNG.normal(size=(2,)))
+    built = []
+    worker = threading.Thread(target=lambda: built.append(x * 2.0))
+    with no_tape():
+        worker.start()
+        worker.join(timeout=10)
+    assert not worker.is_alive()
+    assert built[0]._parents[0] is x
