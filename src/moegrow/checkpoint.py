@@ -298,7 +298,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             if end - begin != math.prod(shape) * 4:
                 raise CheckpointError(f"tensor {name!r} byte length does not match shape {shape}")
             spans[name] = (begin, end, shape)
-        _check_disjoint(spans)
+        _check_packed(spans)
 
         # bytes after the last tensor are never read
         data = np.empty(max((end for _, end, _ in spans.values()), default=0), dtype=np.uint8)
@@ -314,14 +314,21 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     return ckpt.freeze()
 
 
-def _check_disjoint(spans: dict[str, tuple[int, int, tuple[int, ...]]]) -> None:
-    """Reject tensors whose bytes overlap, which would load as aliases."""
+def _check_packed(spans: dict[str, tuple[int, int, tuple[int, ...]]]) -> None:
+    """Reject tensors whose bytes overlap, which would load as aliases, and
+    bytes before or between tensors that no tensor reads, as a save never
+    writes them."""
     prev_name, prev_end = None, 0
     for name, (begin, end, _) in sorted(spans.items(), key=lambda item: item[1][:2]):
         if begin == end:
             continue
         if begin < prev_end:
             raise CheckpointError(f"tensors {prev_name!r} and {name!r} overlap in {TENSORS_FILE}")
+        if begin > prev_end:
+            after = f"after tensor {prev_name!r}" if prev_name else "before the first tensor"
+            raise CheckpointError(
+                f"{begin - prev_end} unread bytes {after} in {TENSORS_FILE}, at tensor {name!r}"
+            )
         prev_name, prev_end = name, end
 
 

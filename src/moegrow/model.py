@@ -19,7 +19,7 @@ from .checkpoint import Checkpoint, tensor_shapes
 from .config import ModelConfig
 from .errors import TrainingDiverged, ValidationError
 from .moe import load_balance_term, route_batch, z_term
-from .tensor import Tensor, concat, no_tape
+from .tensor import Tensor, no_tape
 
 ROTARY_BASE = 10000.0
 NORM_EPS = 1e-5
@@ -84,17 +84,8 @@ def _rotary_tables(seq_len: int, head_dim: int, dtype) -> tuple[np.ndarray, np.n
     return cos, sin
 
 
-def _apply_rotary(t: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
-    half = t.shape[-1] // 2
-    rotated = concat([-t[..., half:], t[..., :half]], axis=-1)
-    return t * cos + rotated * sin
-
-
 def _rmsnorm(x: Tensor, gain: Tensor) -> Tensor:
-    # fold-in-half mean keeps the duplication identity exact for widths
-    # grown by a power of two
-    ms = (x * x).mean_last_folded()
-    return x * (ms + NORM_EPS) ** -0.5 * gain
+    return x.rmsnorm(gain, NORM_EPS)
 
 
 def _gated_mlp(h: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
@@ -134,8 +125,13 @@ def build_graph(ckpt: Checkpoint, tokens, dtype=np.float32) -> ModelGraph:
     params = {name: Tensor(arr.astype(dtype, copy=False)) for name, arr in ckpt.tensors.items()}
     cos, sin = _rotary_tables(seq, cfg.head_dim, dtype)
     mask = np.triu(np.full((seq, seq), MASK_VALUE, dtype=dtype), k=1)
-    group_of_head = np.arange(cfg.n_heads) // cfg.heads_per_group
     scale = 1.0 / math.sqrt(cfg.head_dim)
+    # attention runs on (batch, kv group, head in group, seq, head_dim); keys
+    # and values have one head per group, which broadcasts over its query heads
+    groups, d = cfg.kv_groups, cfg.head_dim
+    q_heads = (batch, seq, groups, cfg.heads_per_group, d)
+    kv_heads = (batch, seq, groups, 1, d)
+    heads_first = (0, 2, 3, 1, 4)
 
     aux_terms: list[Tensor] = []
     z_terms: list[Tensor] = []
@@ -153,16 +149,11 @@ def build_graph(ckpt: Checkpoint, tokens, dtype=np.float32) -> ModelGraph:
             q = q + params[f"{p}.attn.q_bias"]
             k = k + params[f"{p}.attn.k_bias"]
             v = v + params[f"{p}.attn.v_bias"]
-        q = q.reshape(batch, seq, cfg.n_heads, cfg.head_dim).transpose((0, 2, 1, 3))
-        k = k.reshape(batch, seq, cfg.kv_groups, cfg.head_dim).transpose((0, 2, 1, 3))
-        v = v.reshape(batch, seq, cfg.kv_groups, cfg.head_dim).transpose((0, 2, 1, 3))
-        q = _apply_rotary(q, cos, sin)
-        k = _apply_rotary(k, cos, sin)
-        k = k.gather(group_of_head, axis=1)
-        v = v.gather(group_of_head, axis=1)
-        scores = (q @ k.transpose((0, 1, 3, 2))) * scale + mask
-        ctx = (scores.softmax_last() @ v).transpose((0, 2, 1, 3))
-        ctx = ctx.reshape(batch, seq, cfg.q_dim)
+        q = q.reshape(q_heads).transpose(heads_first).rotary(cos, sin)
+        k = k.reshape(kv_heads).transpose(heads_first).rotary(cos, sin)
+        v = v.reshape(kv_heads).transpose(heads_first)
+        probs = (q @ k.transpose((0, 1, 2, 4, 3))).causal_softmax(scale, mask)
+        ctx = (probs @ v).transpose((0, 3, 1, 2, 4)).reshape(batch, seq, cfg.q_dim)
         x = x + ctx @ params[f"{p}.attn.wo"]
 
         hn = _rmsnorm(x, params[f"{p}.mlp_norm"])

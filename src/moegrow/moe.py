@@ -126,7 +126,8 @@ def upcycle(dense: Checkpoint, moe_cfg: MoEConfig, seed: int) -> Checkpoint:
     Every block's MLP tensors are replicated bitwise into n_experts expert
     parameter sets; a per-layer router is drawn from a zero-mean normal with
     standard deviation moe_cfg.router_init_std. All other tensors carry over
-    unchanged.
+    unchanged. The experts of a layer share one read-only copy of each dense
+    MLP tensor: the output is frozen, and training copies what it updates.
     """
     if dense.moe is not None:
         raise ValidationError("checkpoint already has routed expert layers")
@@ -135,12 +136,16 @@ def upcycle(dense: Checkpoint, moe_cfg: MoEConfig, seed: int) -> Checkpoint:
     cfg = dense.config
     rng = np.random.default_rng(seed)
     tensors: dict[str, np.ndarray] = {}
+    shared: dict[str, np.ndarray] = {}  # dense MLP tensor name -> the experts' copy
     for name, shape in tensor_shapes(cfg, moe_cfg).items():
         layer, is_expert, role = name.partition(".moe.expert.")
         if name.endswith(".moe.router"):
             tensors[name] = rng.normal(0.0, moe_cfg.router_init_std, shape).astype(np.float32)
         elif is_expert:  # role is "{j}.{mlp role}"
-            tensors[name] = dense.tensors[f"{layer}.mlp.{role.split('.', 1)[1]}"].copy()
+            source = f"{layer}.mlp.{role.split('.', 1)[1]}"
+            if source not in shared:
+                shared[source] = dense.tensors[source].copy()
+            tensors[name] = shared[source]
         else:
             tensors[name] = dense.tensors[name].copy()
     out = Checkpoint(config=cfg, tensors=tensors, moe=moe_cfg)

@@ -2,8 +2,10 @@
 
 Just enough ops for a decoder-only transformer with routed MLP blocks:
 elementwise arithmetic, batched matmul, shape ops, gathers/scatters with
-unique indices, softmax/logsumexp, and a fused next-token cross entropy.
-Graphs are built eagerly; ``backward()`` runs one reverse topological pass.
+unique indices, softmax/logsumexp, and fused RMSNorm, rotary, causal softmax
+and next-token cross entropy ops with hand-written backwards. Graphs are
+built eagerly; ``backward()`` runs one reverse topological pass. Operands
+that are not Tensors (numbers, arrays) are constants and get no gradient.
 Inside ``no_tape()`` ops record nothing, for forward passes nobody
 differentiates.
 """
@@ -48,16 +50,43 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
+def _fold_sum_last(a: np.ndarray) -> np.ndarray:
+    """Sum over the last axis by pairwise fold-in-half, keeping it as size 1:
+    the one fold order that mean_last_folded and rmsnorm share."""
+    m = a.shape[-1]
+    while m > 1:
+        half = m // 2
+        if m % 2:
+            a = np.concatenate([a[..., :half] + a[..., half : 2 * half], a[..., 2 * half :]], axis=-1)
+        else:
+            a = a[..., :half] + a[..., half:]
+        m = a.shape[-1]
+    return a
+
+
+def _softmax_last(z: np.ndarray) -> np.ndarray:
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_last_grad(g: np.ndarray, s: np.ndarray) -> np.ndarray:
+    return (g - (g * s).sum(axis=-1, keepdims=True)) * s
+
+
 class Tensor:
     """A node in the computation graph wrapping an ndarray."""
 
-    __slots__ = ("data", "grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "_parents", "_backward", "_const")
+    # an ndarray on the left of an operator defers to the Tensor's reflected
+    # method instead of building an object array of Tensors
+    __array_ufunc__ = None
 
     def __init__(self, data, parents: tuple["Tensor", ...] = ()):
         self.data = np.asarray(data)
         self.grad: np.ndarray | None = None
         self._parents = parents
-        self._backward = None  # callable(grad) -> tuple of parent grads
+        self._backward = None  # callable(grad) -> tuple of parent grads (None: none)
+        self._const = False  # an operand wrapped from a number or array
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -76,7 +105,9 @@ class Tensor:
     def _wrap(other, dtype) -> "Tensor":
         if isinstance(other, Tensor):
             return other
-        return Tensor(np.asarray(other, dtype=dtype))
+        const = Tensor(np.asarray(other, dtype=dtype))
+        const._const = True
+        return const
 
     def _make(self, data, parents, backward) -> "Tensor":
         if not _recording.get():
@@ -85,15 +116,24 @@ class Tensor:
         out._backward = backward
         return out
 
+    def _binary(self, other: "Tensor", data, grad_self, grad_other) -> "Tensor":
+        """Node of a broadcasting binary op. grad_self and grad_other map the
+        output gradient to each operand's before unbroadcasting; neither runs
+        for a constant operand."""
+
+        def backward(g):
+            return (
+                None if self._const else _unbroadcast(grad_self(g), self.shape),
+                None if other._const else _unbroadcast(grad_other(g), other.shape),
+            )
+
+        return self._make(data, (self, other), backward)
+
     # -- elementwise arithmetic ----------------------------------------
 
     def __add__(self, other):
         other = self._wrap(other, self.dtype)
-        return self._make(
-            self.data + other.data,
-            (self, other),
-            lambda g: (_unbroadcast(g, self.shape), _unbroadcast(g, other.shape)),
-        )
+        return self._binary(other, self.data + other.data, lambda g: g, lambda g: g)
 
     __radd__ = __add__
 
@@ -102,37 +142,26 @@ class Tensor:
 
     def __sub__(self, other):
         other = self._wrap(other, self.dtype)
-        return self._make(
-            self.data - other.data,
-            (self, other),
-            lambda g: (_unbroadcast(g, self.shape), _unbroadcast(-g, other.shape)),
-        )
+        return self._binary(other, self.data - other.data, lambda g: g, lambda g: -g)
 
     def __rsub__(self, other):
         return self._wrap(other, self.dtype) - self
 
     def __mul__(self, other):
         other = self._wrap(other, self.dtype)
-        return self._make(
-            self.data * other.data,
-            (self, other),
-            lambda g: (
-                _unbroadcast(g * other.data, self.shape),
-                _unbroadcast(g * self.data, other.shape),
-            ),
+        return self._binary(
+            other, self.data * other.data, lambda g: g * other.data, lambda g: g * self.data
         )
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = self._wrap(other, self.dtype)
-        return self._make(
+        return self._binary(
+            other,
             self.data / other.data,
-            (self, other),
-            lambda g: (
-                _unbroadcast(g / other.data, self.shape),
-                _unbroadcast(-g * self.data / (other.data * other.data), other.shape),
-            ),
+            lambda g: g / other.data,
+            lambda g: -g * self.data / (other.data * other.data),
         )
 
     def __rtruediv__(self, other):
@@ -150,13 +179,19 @@ class Tensor:
 
     def __matmul__(self, other):
         other = self._wrap(other, self.dtype)
+        a, b = self.data, other.data
+        if a.ndim > 2 and b.ndim == 2:
+            # a weight shared by every row: each gradient is one 2-D GEMM over
+            # the flattened leading axes, not a batched product summed after
+            def rows(x):
+                return x.reshape(-1, x.shape[-1])
 
-        def backward(g):
-            ga = _unbroadcast(g @ np.swapaxes(other.data, -1, -2), self.shape)
-            gb = _unbroadcast(np.swapaxes(self.data, -1, -2) @ g, other.shape)
-            return ga, gb
-
-        return self._make(self.data @ other.data, (self, other), backward)
+            return self._binary(
+                other, a @ b, lambda g: (rows(g) @ b.T).reshape(a.shape), lambda g: rows(a).T @ rows(g)
+            )
+        return self._binary(
+            other, a @ b, lambda g: g @ np.swapaxes(b, -1, -2), lambda g: np.swapaxes(a, -1, -2) @ g
+        )
 
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
@@ -205,19 +240,7 @@ class Tensor:
         Keeps the reduced axis as size 1.
         """
         n = self.data.shape[-1]
-        acc = self.data
-        m = n
-        while m > 1:
-            half = m // 2
-            if m % 2:
-                acc = np.concatenate(
-                    [acc[..., :half] + acc[..., half : 2 * half], acc[..., 2 * half :]],
-                    axis=-1,
-                )
-            else:
-                acc = acc[..., :half] + acc[..., half:]
-            m = acc.shape[-1]
-        out_data = acc / np.asarray(n, dtype=self.dtype)
+        out_data = _fold_sum_last(self.data) / np.asarray(n, dtype=self.dtype)
 
         def backward(g):
             # the fold is a plain sum in a fixed association order, so the
@@ -246,15 +269,53 @@ class Tensor:
         return self * self.sigmoid()
 
     def softmax_last(self):
-        shifted = self.data - self.data.max(axis=-1, keepdims=True)
-        e = np.exp(shifted)
-        s = e / e.sum(axis=-1, keepdims=True)
+        s = _softmax_last(self.data)
+        return self._make(s, (self,), lambda g: (_softmax_last_grad(g, s),))
+
+    # -- fused transformer ops ---------------------------------------------
+    # Each is one node whose value is bitwise that of the composed ops it
+    # replaces; only the gradient's summation order differs.
+
+    def rmsnorm(self, gain: "Tensor", eps: float) -> "Tensor":
+        """x * (mean(x * x) + eps) ** -0.5 * gain over the last axis.
+
+        The mean is mean_last_folded's, so duplicating every channel (and
+        the gain) a power-of-two number of times leaves each output bitwise
+        unchanged: the numeric foundation of exact width growth.
+        """
+        x, n = self.data, self.data.shape[-1]
+        ms = _fold_sum_last(x * x) / np.asarray(n, dtype=self.dtype)
+        r = (ms + np.asarray(eps, dtype=self.dtype)) ** -0.5
+        xr = x * r
 
         def backward(g):
-            inner = (g * s).sum(axis=-1, keepdims=True)
-            return ((g - inner) * s,)
+            gx = g * gain.data
+            # d(r)/dx = -r**3 * x / n, since r = (sum(x * x) / n + eps) ** -0.5
+            dot = (gx * x).sum(axis=-1, keepdims=True)
+            return r * gx - xr * (r * r * dot / n), _unbroadcast(g * xr, gain.shape)
 
-        return self._make(s, (self,), backward)
+        return self._make(xr * gain.data, (self, gain), backward)
+
+    def rotary(self, cos: np.ndarray, sin: np.ndarray) -> "Tensor":
+        """Rotary position embedding t * cos + rot(t) * sin on the last axis,
+        rot(t) = [-t[half:], t[:half]]; cos and sin are constants."""
+        t = self.data
+        half = t.shape[-1] // 2
+        rest = t.shape[-1] - half
+        out_data = t * cos + np.concatenate([-t[..., half:], t[..., :half]], axis=-1) * sin
+
+        def backward(g):
+            gs = g * sin
+            return (g * cos + np.concatenate([gs[..., rest:], -gs[..., :rest]], axis=-1),)
+
+        return self._make(out_data, (self,), backward)
+
+    def causal_softmax(self, scale: float, mask: np.ndarray) -> "Tensor":
+        """softmax(x * scale + mask) over the last axis, for attention scores;
+        the additive mask (very negative above the diagonal) is a constant."""
+        scale = np.asarray(scale, dtype=self.dtype)
+        s = _softmax_last(self.data * scale + mask)
+        return self._make(s, (self,), lambda g: (_softmax_last_grad(g, s) * scale,))
 
     def logsumexp_last(self):
         m = self.data.max(axis=-1, keepdims=True)

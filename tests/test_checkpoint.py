@@ -399,6 +399,31 @@ def test_load_rejects_overlapping_tensors(micro_ckpt, tmp_path, shift):
         load_checkpoint(tmp_path)
 
 
+@pytest.mark.parametrize("at", [0, 1, 5])
+def test_load_rejects_unread_bytes_before_or_between_tensors(micro_ckpt, tmp_path, at):
+    # 4 bytes no tensor reads go in front of the at-th tensor of the file and
+    # every later span moves past them, so the spans still neither overlap
+    # nor leave their bounds
+    save_checkpoint(micro_ckpt, tmp_path)
+    blob = (tmp_path / "tensors.bin").read_bytes()
+    (n,) = struct.unpack("<Q", blob[:8])
+    header, data = json.loads(blob[8 : 8 + n]), blob[8 + n :]
+    order = sorted(header, key=lambda name: header[name]["data_offsets"])
+    cut = header[order[at]]["data_offsets"][0]
+    for name in order[at:]:
+        header[name]["data_offsets"] = [offset + 4 for offset in header[name]["data_offsets"]]
+    new_header = json.dumps(header).encode()
+    (tmp_path / "tensors.bin").write_bytes(
+        struct.pack("<Q", len(new_header)) + new_header + data[:cut] + bytes(4) + data[cut:]
+    )
+    with pytest.raises(CheckpointError, match="unread bytes"):
+        load_checkpoint(tmp_path)
+    # bytes after the last tensor are still ignored
+    (tmp_path / "tensors.bin").write_bytes(blob + bytes(4))
+    loaded = load_checkpoint(tmp_path)
+    assert all(loaded.tensors[k].tobytes() == v.tobytes() for k, v in micro_ckpt.tensors.items())
+
+
 def test_a_save_that_fails_partway_leaves_the_old_checkpoint(micro_ckpt, micro_config,
                                                             tmp_path, monkeypatch):
     save_checkpoint(micro_ckpt, tmp_path)

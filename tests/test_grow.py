@@ -426,6 +426,17 @@ def test_depth_map_laws():
             assert interp[0] == 0 and stack[0] == 0
 
 
+@settings(max_examples=200, deadline=None)
+@given(source=st.integers(1, 64), extra=st.integers(0, 192))
+def test_depth_maps_are_onto_and_interpolate_is_monotone(source, extra):
+    target = source + extra
+    interp = depth_source_indices(source, target, "interpolate")
+    stack = depth_source_indices(source, target, "stack")
+    assert len(interp) == len(stack) == target
+    assert all(a <= b for a, b in zip(interp, interp[1:]))
+    assert set(interp) == set(stack) == set(range(source))
+
+
 def test_depth_errors():
     with pytest.raises(ValidationError):
         depth_source_indices(4, 3, "stack")

@@ -14,7 +14,8 @@ from moegrow import (
     upcycle,
 )
 from moegrow import model as model_module
-from moegrow.model import build_graph
+from moegrow.model import MASK_VALUE, NORM_EPS, _rotary_tables, build_graph
+from moegrow.tensor import Tensor, concat
 
 
 def tokens_for(config, seed, length):
@@ -215,6 +216,86 @@ def test_rmsnorm_width_duplication_is_exact(micro_ckpt, micro_config):
     ).data
     assert doubled[:, :8].tobytes() == base.tobytes()
     assert doubled[:, 8:].tobytes() == base.tobytes()
+
+
+def gather_reference_graph(ckpt, tokens, dtype):
+    """The dense model composed from elementary tape ops, with every query
+    head gathering a copy of its group's key and value head."""
+    cfg = ckpt.config
+    batch, seq = tokens.shape
+    params = {name: Tensor(arr.astype(dtype)) for name, arr in ckpt.tensors.items()}
+    cos, sin = _rotary_tables(seq, cfg.head_dim, dtype)
+    mask = np.triu(np.full((seq, seq), MASK_VALUE, dtype=dtype), k=1)
+    group_of_head = np.arange(cfg.n_heads) // cfg.heads_per_group
+    half = cfg.head_dim // 2
+
+    def rmsnorm(x, gain):
+        return x * ((x * x).mean_last_folded() + NORM_EPS) ** -0.5 * gain
+
+    def rotary(t):
+        return t * cos + concat([-t[..., half:], t[..., :half]], axis=-1) * sin
+
+    def heads(t, n):
+        return t.reshape(batch, seq, n, cfg.head_dim).transpose((0, 2, 1, 3))
+
+    x = params["embed"].gather(tokens.reshape(-1)).reshape(batch, seq, cfg.hidden_dim)
+    for i in range(cfg.n_layers):
+        p = f"layers.{i}."
+        hn = rmsnorm(x, params[p + "attn_norm"])
+        q, k, v = (hn @ params[p + f"attn.w{name}"] for name in "qkv")
+        if cfg.qkv_bias:
+            q, k, v = (t + params[p + f"attn.{name}_bias"] for t, name in zip((q, k, v), "qkv"))
+        q = rotary(heads(q, cfg.n_heads))
+        k = rotary(heads(k, cfg.kv_groups)).gather(group_of_head, axis=1)
+        v = heads(v, cfg.kv_groups).gather(group_of_head, axis=1)
+        scores = (q @ k.transpose((0, 1, 3, 2))) * (1.0 / np.sqrt(cfg.head_dim)) + mask
+        ctx = (scores.softmax_last() @ v).transpose((0, 2, 1, 3)).reshape(batch, seq, cfg.q_dim)
+        x = x + ctx @ params[p + "attn.wo"]
+        hn = rmsnorm(x, params[p + "mlp_norm"])
+        gate = (hn @ params[p + "mlp.w_gate"]).silu()
+        x = x + (gate * (hn @ params[p + "mlp.w_up"])) @ params[p + "mlp.w_down"]
+    logits = rmsnorm(x, params["final_norm"]) @ params["unembed"]
+    return params, logits, logits[:, :-1, :].cross_entropy_last(tokens[:, 1:]).mean()
+
+
+@pytest.mark.parametrize("kv_groups,heads_per_group", [(1, 1), (1, 4), (2, 3), (4, 2)])
+def test_broadcast_gqa_equals_the_gathered_heads_reference(kv_groups, heads_per_group):
+    heads = kv_groups * heads_per_group
+    cfg = ModelConfig(n_layers=2, hidden_dim=4 * heads, n_heads=heads, head_dim=4,
+                      kv_groups=kv_groups, intermediate_dim=6, vocab_size=16, context_length=16)
+    ckpt = random_init(cfg, seed=heads, init_std=0.4)
+    toks = np.random.default_rng(heads).integers(0, 16, size=(3, 7))
+    _, logits, loss = gather_reference_graph(ckpt, toks, np.float32)
+    graph = build_graph(ckpt, toks)
+    assert graph.logits.data.tobytes() == logits.data.tobytes()
+    assert graph.loss.data.tobytes() == loss.data.tobytes()
+
+    params, _, loss = gather_reference_graph(ckpt, toks, np.float64)
+    loss.backward()
+    graph = build_graph(ckpt, toks, dtype=np.float64)
+    graph.loss.backward()
+    for name, leaf in graph.params.items():
+        np.testing.assert_allclose(leaf.grad, params[name].grad, rtol=1e-9, atol=1e-12,
+                                   err_msg=name)
+
+
+def test_a_dense_step_at_the_grown_benchmark_config_records_few_nodes():
+    # 4 layers, hidden 64, 8 heads in 2 KV groups, a 16 x 32 token batch;
+    # composed from elementary ops the same step records 241 op nodes
+    cfg = ModelConfig(n_layers=4, hidden_dim=64, n_heads=8, head_dim=8, kv_groups=2,
+                      intermediate_dim=128, vocab_size=256, context_length=64)
+    toks = np.random.default_rng(0).integers(0, 256, size=(16, 33))
+    graph = build_graph(random_init(cfg, seed=0), toks)
+    ops, seen, stack = 0, set(), [graph.objective]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            ops += node._backward is not None
+            stack.extend(node._parents)
+    assert ops <= 140
+    graph.objective.backward()
+    assert all(leaf.grad is not None for leaf in graph.params.values())
 
 
 def test_no_bias_config_runs(micro_config):

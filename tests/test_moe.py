@@ -230,6 +230,10 @@ def test_upcycle_experts_are_bitwise_replicas(micro_ckpt, moe_small, micro_confi
             for j in range(moe_small.n_experts):
                 expert = sparse.tensors[f"layers.{i}.moe.expert.{j}.{role}"]
                 assert expert.tobytes() == dense_mlp.tobytes()
+                # one read-only copy per layer, shared by the experts and
+                # never the dense input's own array
+                assert expert is sparse.tensors[f"layers.{i}.moe.expert.0.{role}"]
+                assert not expert.flags.writeable and not np.shares_memory(expert, dense_mlp)
         assert sparse.tensors[f"layers.{i}.moe.router"].shape == (
             micro_config.hidden_dim,
             moe_small.n_experts,

@@ -8,6 +8,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moegrow.tensor import Tensor, concat, no_tape
 
@@ -227,6 +229,118 @@ def test_cross_entropy_last_grad():
     a = RNG.normal(size=(2, 4))
     targets = np.array([3, 0])
     check_grads(lambda x: x.cross_entropy_last(targets).mean().sum(), [a], tol=1e-6)
+
+
+# -- fused ops: exact gradients, and values bitwise those of the ops they fuse
+
+
+def composed_rmsnorm(x, gain, eps):
+    return x * ((x * x).mean_last_folded() + eps) ** -0.5 * gain
+
+
+def composed_rotary(t, cos, sin):
+    half = t.shape[-1] // 2
+    return t * cos + concat([-t[..., half:], t[..., :half]], axis=-1) * sin
+
+
+def composed_causal_softmax(x, scale, mask):
+    return (x * scale + mask).softmax_last()
+
+
+def causal_mask(seq, dtype=np.float64):
+    return np.triu(np.full((seq, seq), -1e30, dtype=dtype), k=1)
+
+
+def rotary_tables(seq, width, dtype=np.float64):
+    angles = RNG.uniform(-3, 3, size=(seq, width))
+    return np.cos(angles).astype(dtype), np.sin(angles).astype(dtype)
+
+
+@pytest.mark.parametrize("width", [1, 5, 8])
+def test_rmsnorm_grad(width):
+    a = RNG.normal(size=(2, 3, width))
+    gain = RNG.normal(size=(width,))
+    check_grads(lambda x, g: weighted(x.rmsnorm(g, 1e-5), seed=14), [a, gain], tol=1e-6)
+
+
+@pytest.mark.parametrize("width", [2, 3, 6])
+def test_rotary_grad(width):
+    a = RNG.normal(size=(2, 2, 4, width))
+    cos, sin = rotary_tables(4, width)
+    check_grads(lambda x: weighted(x.rotary(cos, sin), seed=15), [a])
+
+
+def test_causal_softmax_grad():
+    a = RNG.normal(size=(2, 3, 5, 5))
+    mask = causal_mask(5)
+    out = Tensor(a).causal_softmax(0.5, mask).data
+    rows, cols = np.triu_indices(5, k=1)
+    assert np.all(out[..., rows, cols] == 0.0)
+    check_grads(lambda x: weighted(x.causal_softmax(0.5, mask), seed=16), [a], tol=1e-6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lead=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+    width=st.integers(1, 13),
+    seed=st.integers(0, 2**16),
+)
+def test_fused_ops_are_bitwise_the_composed_ops(lead, width, seed):
+    rng = np.random.default_rng(seed)
+    shape = tuple(lead) + (width,)
+    x = rng.normal(size=shape).astype(np.float32) * 3
+    gain = rng.normal(size=(width,)).astype(np.float32)
+    fused = Tensor(x).rmsnorm(Tensor(gain), 1e-5).data
+    assert fused.tobytes() == composed_rmsnorm(Tensor(x), Tensor(gain), 1e-5).data.tobytes()
+
+    cos, sin = rotary_tables(shape[-2] if len(shape) > 1 else 1, width, np.float32)
+    fused = Tensor(x).rotary(cos, sin).data
+    assert fused.tobytes() == composed_rotary(Tensor(x), cos, sin).data.tobytes()
+
+    scores = rng.normal(size=tuple(lead) + (width, width)).astype(np.float32) * 3
+    mask, scale = causal_mask(width, np.float32), 1.0 / np.sqrt(width)
+    fused = Tensor(scores).causal_softmax(scale, mask).data
+    assert fused.tobytes() == composed_causal_softmax(Tensor(scores), scale, mask).data.tobytes()
+
+
+def test_rmsnorm_duplication_identity_over_odd_widths():
+    for width in (1, 3, 5, 7):
+        x = RNG.normal(size=(4, width)).astype(np.float32) * 10
+        gain = RNG.normal(size=(width,)).astype(np.float32)
+        base = Tensor(x).rmsnorm(Tensor(gain), 1e-5).data
+        for dup in (2, 4):
+            wide = Tensor(np.tile(x, dup)).rmsnorm(Tensor(np.tile(gain, dup)), 1e-5).data
+            assert wide.tobytes() == np.tile(base, dup).tobytes()
+
+
+CONSTANT_OPERANDS = {
+    "x + 2.5": (lambda x, c: x + c, 2.5),
+    "2.5 + x": (lambda x, c: c + x, 2.5),
+    "array + x": (lambda x, c: c + x, RNG.normal(size=(2, 1, 3))),
+    "x - array": (lambda x, c: x - c, RNG.normal(size=(3, 3))),
+    "2.5 - x": (lambda x, c: c - x, 2.5),
+    "array - x": (lambda x, c: c - x, RNG.normal(size=(3, 3))),
+    "x * array": (lambda x, c: x * c, RNG.normal(size=(3,))),
+    "2.5 * x": (lambda x, c: c * x, 2.5),
+    "array * x": (lambda x, c: c * x, RNG.normal(size=(1, 3))),
+    "x / array": (lambda x, c: x / c, RNG.normal(size=(1, 3)) + 4.0),
+    "2.5 / x": (lambda x, c: c / x, 2.5),
+    "array / x": (lambda x, c: c / x, RNG.normal(size=(3,))),
+    "x @ array": (lambda x, c: x @ c, RNG.normal(size=(3, 4))),
+}
+
+
+@pytest.mark.parametrize("case", list(CONSTANT_OPERANDS))
+def test_a_constant_operand_leaves_the_tensor_gradient_unchanged(case):
+    apply, c = CONSTANT_OPERANDS[case]
+    a = RNG.normal(size=(2, 3, 3)) + 4.0
+    as_tensor, as_constant = Tensor(a.copy()), Tensor(a.copy())
+    weighted(apply(as_tensor, Tensor(np.asarray(c))), seed=17).backward()
+    out = apply(as_constant, c)
+    weighted(out, seed=17).backward()
+    assert as_constant.grad.tobytes() == as_tensor.grad.tobytes()
+    (wrapped,) = [p for p in out._parents if p is not as_constant]
+    assert wrapped.grad is None
 
 
 def test_backward_accumulates_shared_node():
