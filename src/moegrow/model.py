@@ -19,7 +19,7 @@ from .checkpoint import Checkpoint, tensor_shapes
 from .config import ModelConfig
 from .errors import TrainingDiverged, ValidationError
 from .moe import load_balance_term, route_batch, z_term
-from .tensor import Tensor, no_tape
+from .tensor import Tensor, no_huge_pages, no_tape
 
 ROTARY_BASE = 10000.0
 NORM_EPS = 1e-5
@@ -112,6 +112,7 @@ def _check_tokens(tokens: np.ndarray, config: ModelConfig) -> np.ndarray:
     return tokens
 
 
+@no_huge_pages()
 def build_graph(ckpt: Checkpoint, tokens, dtype=np.float32) -> ModelGraph:
     """Run the model forward on a (batch of) sequence(s), keeping the tape
     unless called inside ``no_tape()``.

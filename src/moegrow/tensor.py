@@ -7,7 +7,8 @@ and next-token cross entropy ops with hand-written backwards. Graphs are
 built eagerly; ``backward()`` runs one reverse topological pass. Operands
 that are not Tensors (numbers, arrays) are constants and get no gradient.
 Inside ``no_tape()`` ops record nothing, for forward passes nobody
-differentiates.
+differentiates. Inside ``no_huge_pages()`` numpy asks the kernel for no huge
+pages, for the short-lived arrays of a graph.
 """
 
 from __future__ import annotations
@@ -16,6 +17,11 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 
 import numpy as np
+
+try:  # numpy 2; numpy 1 keeps it in numpy.core
+    from numpy._core.multiarray import _set_madvise_hugepage
+except ImportError:
+    from numpy.core.multiarray import _set_madvise_hugepage
 
 # per thread (and per asyncio task), so a forward-only pass in one thread
 # does not drop the tape of training in another
@@ -35,6 +41,27 @@ def no_tape():
         yield
     finally:
         _recording.reset(token)
+
+
+@contextmanager
+def no_huge_pages():
+    """Allocate arrays without advising huge pages while active; usable as a
+    decorator.
+
+    numpy advises the kernel to back each array of 4 MiB or more with huge
+    pages (madvise MADV_HUGEPAGE). The activations and gradients of a graph
+    live for one step and land wherever the heap has room, so the advice
+    marks varying stretches of the heap: how much of it ends up on huge
+    pages, and how much the allocator hands back and faults in again each
+    step, then change from one run to the next, and with them the speed of
+    the whole process. The setting is numpy's and process-wide, and only
+    advice changes, never a value; leaving restores it.
+    """
+    previous = _set_madvise_hugepage(False)
+    try:
+        yield
+    finally:
+        _set_madvise_hugepage(previous)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -389,6 +416,7 @@ class Tensor:
 
     # -- backprop driver ----------------------------------------------------
 
+    @no_huge_pages()
     def backward(self, seed: np.ndarray | None = None) -> None:
         """Accumulate gradients into every reachable node's ``.grad``."""
         order: list[Tensor] = []

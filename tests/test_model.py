@@ -15,7 +15,7 @@ from moegrow import (
 )
 from moegrow import model as model_module
 from moegrow.model import MASK_VALUE, NORM_EPS, _rotary_tables, build_graph
-from moegrow.tensor import Tensor, concat
+from moegrow.tensor import Tensor, _set_madvise_hugepage, concat
 
 
 def tokens_for(config, seed, length):
@@ -366,3 +366,30 @@ def test_an_eval_that_raises_leaves_the_tape_on(micro_ckpt, micro_config):
     grads = backward(micro_ckpt, toks)
     assert set(grads) == set(micro_ckpt.tensors)
     assert all(g is not None and g.shape == micro_ckpt.tensors[n].shape for n, g in grads.items())
+
+
+def test_graphs_are_built_without_huge_page_advice(micro_ckpt, micro_config, monkeypatch):
+    def advice() -> bool:
+        current = _set_madvise_hugepage(True)
+        _set_madvise_hugepage(current)
+        return current
+
+    seen = []
+    gated_mlp = model_module._gated_mlp
+
+    def spy(*args):
+        seen.append(advice())
+        return gated_mlp(*args)
+
+    monkeypatch.setattr(model_module, "_gated_mlp", spy)
+    before = _set_madvise_hugepage(True)
+    try:
+        build_graph(micro_ckpt, tokens_for(micro_config, 22, 10).reshape(1, -1))
+        assert seen == [False] * micro_config.n_layers and advice() is True
+        bad = tokens_for(micro_config, 23, 10)
+        bad[0] = micro_config.vocab_size
+        with pytest.raises(ValidationError):
+            build_graph(micro_ckpt, bad)
+        assert advice() is True
+    finally:
+        _set_madvise_hugepage(before)

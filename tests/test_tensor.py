@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moegrow.tensor import Tensor, concat, no_tape
+from moegrow.tensor import Tensor, _set_madvise_hugepage, concat, no_huge_pages, no_tape
 
 RNG = np.random.default_rng(7)
 
@@ -385,3 +385,33 @@ def test_no_tape_does_not_reach_other_threads():
         worker.join(timeout=10)
     assert not worker.is_alive()
     assert built[0]._parents[0] is x
+
+
+def huge_page_advice() -> bool:
+    """numpy's current huge-page advice setting, left as it was."""
+    current = _set_madvise_hugepage(True)
+    _set_madvise_hugepage(current)
+    return current
+
+
+def test_no_huge_pages_switches_the_advice_off_and_restores_it():
+    before = _set_madvise_hugepage(True)
+    try:
+        with no_huge_pages():
+            with no_huge_pages():
+                pass
+            assert huge_page_advice() is False
+        assert huge_page_advice() is True
+        with pytest.raises(RuntimeError), no_huge_pages():
+            raise RuntimeError("inside the switch")
+        assert huge_page_advice() is True
+
+        x = Tensor(RNG.normal(size=(3,)))
+        y = x.exp()
+        inner, seen = y._backward, []
+        y._backward = lambda g: (seen.append(huge_page_advice()), inner(g))[1]
+        y.sum().backward()
+        assert seen == [False] and huge_page_advice() is True
+        np.testing.assert_array_equal(x.grad, np.exp(x.data))
+    finally:
+        _set_madvise_hugepage(before)
