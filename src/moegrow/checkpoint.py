@@ -16,8 +16,10 @@ import json
 import math
 import os
 import struct
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -114,13 +116,25 @@ def tensor_shapes(config: ModelConfig, moe: MoEConfig | None = None) -> dict[str
 
 @dataclass
 class Checkpoint:
-    """A validated, immutable set of named float32 tensors plus its config."""
+    """A set of named float32 tensors plus its config; once frozen, a
+    validated, immutable value."""
 
     config: ModelConfig
-    tensors: dict[str, np.ndarray]
+    tensors: Mapping[str, np.ndarray]
     moe: MoEConfig | None = None
+    _frozen: bool = field(default=False, init=False, repr=False, compare=False)
+
+    def __setattr__(self, name: str, value) -> None:
+        if self._frozen:
+            raise AttributeError(f"cannot set {name!r} of a frozen checkpoint")
+        super().__setattr__(name, value)
 
     def validate(self) -> None:
+        """Check configs, names, dtypes, shapes and finiteness; a frozen
+        checkpoint passed all of them when it was frozen and returns at once.
+        An array held under several names is scanned once."""
+        if self._frozen:
+            return
         self.config.validate()
         if self.moe is not None:
             self.moe.validate()
@@ -132,6 +146,7 @@ class Checkpoint:
         extra = sorted(set(self.tensors) - set(expected))
         if extra:
             raise ValidationError(f"unknown tensor name {extra[0]!r}")
+        scanned: set[int] = set()
         for name, shape in expected.items():
             arr = self.tensors[name]
             if arr.dtype != np.float32:
@@ -140,14 +155,31 @@ class Checkpoint:
                 raise ValidationError(
                     f"tensor {name!r} has shape {tuple(arr.shape)}, config implies {shape}"
                 )
-            if not np.isfinite(arr).all():
+            if id(arr) not in scanned and not np.isfinite(arr).all():
                 raise ValidationError(f"tensor {name!r} contains non-finite values")
+            scanned.add(id(arr))
 
     def freeze(self) -> "Checkpoint":
-        """Mark all tensors read-only; transforms always build new arrays."""
-        for arr in self.tensors.values():
-            arr.flags.writeable = False
+        """Validate, then make the arrays and the tensor mapping read-only.
+
+        The frozen checkpoint is a value: transforms share its arrays
+        instead of copying them, and nothing validates it again.
+        """
+        if not self._frozen:
+            self.validate()
+            for arr in self.tensors.values():
+                arr.flags.writeable = False
+            self.tensors = MappingProxyType(dict(self.tensors))
+            self._frozen = True
         return self
+
+    def snapshot(self) -> "Checkpoint":
+        """This checkpoint if frozen, else a frozen copy of it, which later
+        writes into this checkpoint's arrays cannot change."""
+        if self._frozen:
+            return self
+        tensors = {name: arr.copy() for name, arr in self.tensors.items()}
+        return Checkpoint(config=self.config, tensors=tensors, moe=self.moe).freeze()
 
 
 @dataclass(frozen=True)
@@ -309,9 +341,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         name: np.frombuffer(data, dtype="<f4", count=math.prod(shape), offset=begin).reshape(shape)
         for name, (begin, _, shape) in spans.items()
     }
-    ckpt = Checkpoint(config=config, tensors=tensors, moe=moe)
-    ckpt.validate()
-    return ckpt.freeze()
+    return Checkpoint(config=config, tensors=tensors, moe=moe).freeze()
 
 
 def _check_packed(spans: dict[str, tuple[int, int, tuple[int, ...]]]) -> None:

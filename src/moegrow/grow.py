@@ -163,7 +163,7 @@ def _check_width_growth(src: ModelConfig, tgt: ModelConfig) -> None:
 def _expand_width(ckpt: Checkpoint, target: ModelConfig, use_donors: bool) -> Checkpoint:
     if ckpt.moe is not None:
         raise ValidationError("width growth operates on dense checkpoints")
-    ckpt.validate()
+    ckpt = ckpt.snapshot()
     src = ckpt.config
     _check_width_growth(src, target)
     maps = {
@@ -192,11 +192,8 @@ def _expand_width(ckpt: Checkpoint, target: ModelConfig, use_donors: bool) -> Ch
                 if int(i) + 1 < src.n_layers:
                     donor = split[f"layers.{int(i) + 1}.{role}"]
             w = expand_out_axis(w, maps[last], donor)
-        tensors[name] = w.copy() if w is ckpt.tensors[name] else w
-
-    out = Checkpoint(config=target, tensors=tensors)
-    out.validate()
-    return out.freeze()
+        tensors[name] = w
+    return Checkpoint(config=target, tensors=tensors).freeze()
 
 
 def fpi_expand(ckpt: Checkpoint, target: ModelConfig) -> Checkpoint:
@@ -227,24 +224,21 @@ def depth_source_indices(source_layers: int, target_layers: int, mode: str) -> l
 
 
 def grow_depth(ckpt: Checkpoint, target_layers: int, mode: str) -> Checkpoint:
-    """Copy whole layers to reach target_layers; other tensors unchanged."""
+    """Repeat whole layers to reach target_layers. The output shares every
+    array of a frozen input; an unfrozen one is copied once first."""
     if ckpt.moe is not None:
         raise ValidationError("depth growth operates on dense checkpoints")
-    ckpt.validate()
+    ckpt = ckpt.snapshot()
     sources = depth_source_indices(ckpt.config.n_layers, target_layers, mode)
     target = dataclasses.replace(ckpt.config, n_layers=target_layers)
     tensors: dict[str, np.ndarray] = {}
-    for name, arr in ckpt.tensors.items():
-        if not name.startswith("layers."):
-            tensors[name] = arr.copy()
-    for l, src_l in enumerate(sources):
-        src_prefix = f"layers.{src_l}."
-        for name, arr in ckpt.tensors.items():
-            if name.startswith(src_prefix):
-                tensors[f"layers.{l}." + name[len(src_prefix):]] = arr.copy()
-    out = Checkpoint(config=target, tensors=tensors)
-    out.validate()
-    return out.freeze()
+    for name in tensor_axes(target):
+        source = name
+        if name.startswith("layers."):
+            _, i, role = name.split(".", 2)
+            source = f"layers.{sources[int(i)]}.{role}"
+        tensors[name] = ckpt.tensors[source]
+    return Checkpoint(config=target, tensors=tensors).freeze()
 
 
 @dataclass(frozen=True)

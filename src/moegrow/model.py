@@ -68,9 +68,7 @@ def random_init(config: ModelConfig, seed: int, init_std: float = 0.02) -> Check
             tensors[name] = np.ones(shape, dtype=np.float32)
         else:
             tensors[name] = rng.normal(0.0, init_std, shape).astype(np.float32)
-    ckpt = Checkpoint(config=config, tensors=tensors)
-    ckpt.validate()
-    return ckpt.freeze()
+    return Checkpoint(config=config, tensors=tensors).freeze()
 
 
 def _rotary_tables(seq_len: int, head_dim: int, dtype) -> tuple[np.ndarray, np.ndarray]:

@@ -125,13 +125,14 @@ def upcycle(dense: Checkpoint, moe_cfg: MoEConfig, seed: int) -> Checkpoint:
 
     Every block's MLP tensors are replicated bitwise into n_experts expert
     parameter sets; a per-layer router is drawn from a zero-mean normal with
-    standard deviation moe_cfg.router_init_std. All other tensors carry over
-    unchanged. The experts of a layer share one read-only copy of each dense
-    MLP tensor: the output is frozen, and training copies what it updates.
+    standard deviation moe_cfg.router_init_std. All other tensors are the
+    frozen dense input's own arrays, shared. The experts of a layer share one
+    private read-only copy of each dense MLP tensor: the output is frozen, and
+    training copies what it updates.
     """
     if dense.moe is not None:
         raise ValidationError("checkpoint already has routed expert layers")
-    dense.validate()
+    dense = dense.snapshot()
     moe_cfg.validate()
     cfg = dense.config
     rng = np.random.default_rng(seed)
@@ -147,7 +148,5 @@ def upcycle(dense: Checkpoint, moe_cfg: MoEConfig, seed: int) -> Checkpoint:
                 shared[source] = dense.tensors[source].copy()
             tensors[name] = shared[source]
         else:
-            tensors[name] = dense.tensors[name].copy()
-    out = Checkpoint(config=cfg, tensors=tensors, moe=moe_cfg)
-    out.validate()
-    return out.freeze()
+            tensors[name] = dense.tensors[name]
+    return Checkpoint(config=cfg, tensors=tensors, moe=moe_cfg).freeze()

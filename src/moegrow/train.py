@@ -142,7 +142,7 @@ def train(ckpt: Checkpoint, dataset, cfg: TrainConfig, eval_data=None,
     if eval_every is None:
         eval_every = max(1, cfg.total_steps // 10)
 
-    params = {name: arr.astype(np.float32).copy() for name, arr in ckpt.tensors.items()}
+    params = {name: arr.astype(np.float32) for name, arr in ckpt.tensors.items()}
     m = {name: np.zeros_like(arr) for name, arr in params.items()}
     v = {name: np.zeros_like(arr) for name, arr in params.items()}
     names = sorted(params)
@@ -187,9 +187,7 @@ def train(ckpt: Checkpoint, dataset, cfg: TrainConfig, eval_data=None,
             )
         log.rows.append(row)
 
-    out = Checkpoint(config=ckpt.config, tensors=params, moe=ckpt.moe)
-    out.validate()
-    return out.freeze(), log
+    return Checkpoint(config=ckpt.config, tensors=params, moe=ckpt.moe).freeze(), log
 
 
 def grad_check(config: ModelConfig, seed: int = 0, eps: float = 1e-5,

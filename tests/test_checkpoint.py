@@ -356,6 +356,75 @@ def test_freeze_blocks_writes(micro_config):
         frozen.tensors["embed"][0, 0] = 1.0
 
 
+def thawed(ckpt: Checkpoint) -> Checkpoint:
+    """An unfrozen checkpoint holding writable copies of ckpt's arrays."""
+    tensors = {name: arr.copy() for name, arr in ckpt.tensors.items()}
+    return Checkpoint(config=ckpt.config, tensors=tensors, moe=ckpt.moe)
+
+
+def count_scans(monkeypatch) -> list:
+    """Record every array np.isfinite is called on from now on."""
+    calls, real = [], np.isfinite
+    monkeypatch.setattr(np, "isfinite", lambda x, *a, **k: calls.append(x) or real(x, *a, **k))
+    return calls
+
+
+def test_frozen_checkpoint_rejects_edits_to_mapping_arrays_and_fields(micro_config, moe_small):
+    frozen = random_init(micro_config, seed=0)
+    zeros = np.zeros_like(frozen.tensors["embed"])
+    with pytest.raises(TypeError):
+        frozen.tensors["embed"] = zeros
+    with pytest.raises(TypeError):
+        del frozen.tensors["embed"]
+    with pytest.raises(ValueError):
+        frozen.tensors["embed"][0, 0] = 1.0
+    with pytest.raises(AttributeError):
+        frozen.moe = moe_small
+    assert frozen.moe is None and frozen.freeze() is frozen
+
+
+def test_validate_scans_once_at_freeze_and_never_after(micro_ckpt, monkeypatch):
+    ckpt = thawed(micro_ckpt)
+    scans = count_scans(monkeypatch)
+    ckpt.validate()
+    assert len(scans) == len(ckpt.tensors)
+    scans.clear()
+    ckpt.freeze()
+    assert len(scans) == len(ckpt.tensors)
+    scans.clear()
+    ckpt.validate()
+    micro_ckpt.validate()
+    assert ckpt.freeze() is ckpt
+    assert scans == []
+
+
+def test_freeze_rejects_non_finite_values_and_leaves_the_checkpoint_unfrozen(micro_ckpt):
+    ckpt = thawed(micro_ckpt)
+    ckpt.tensors["layers.1.attn.wo"][1, 0] = np.inf
+    with pytest.raises(ValidationError, match="layers.1.attn.wo"):
+        ckpt.freeze()
+    ckpt.tensors["layers.1.attn.wo"][1, 0] = 0.0
+    assert ckpt.freeze().tensors["layers.1.attn.wo"][1, 0] == 0.0
+
+
+def test_an_array_held_under_several_names_is_scanned_once(micro_ckpt, moe_small, monkeypatch):
+    shared = thawed(upcycle(micro_ckpt, moe_small, seed=0))
+    for i in range(micro_ckpt.config.n_layers):
+        for role in ("w_gate", "w_up", "w_down"):
+            one = shared.tensors[f"layers.{i}.moe.expert.0.{role}"]
+            for j in range(moe_small.n_experts):
+                shared.tensors[f"layers.{i}.moe.expert.{j}.{role}"] = one
+    distinct = {id(arr) for arr in shared.tensors.values()}
+    assert len(distinct) < len(shared.tensors)
+    scans = count_scans(monkeypatch)
+    shared.validate()
+    assert sorted(id(arr) for arr in scans) == sorted(distinct)
+    # a non-finite value in the shared array still fails, under its first name
+    shared.tensors["layers.1.moe.expert.3.w_up"][0, 0] = np.nan
+    with pytest.raises(ValidationError, match="layers.1.moe.expert.0.w_up"):
+        shared.freeze()
+
+
 def traced_peak(fn):
     """Peak bytes traced while fn runs, and what it returned or raised."""
     tracemalloc.start()

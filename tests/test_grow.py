@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moegrow import (
+    Checkpoint,
     GrowthPlan,
     ModelConfig,
+    MoEConfig,
     ValidationError,
     aki_expand,
     build_graph,
@@ -25,6 +27,7 @@ from moegrow import (
     upcycle,
     verify_preservation,
 )
+from moegrow.checkpoint import tensor_axes
 
 RNG = np.random.default_rng(21)
 
@@ -458,6 +461,12 @@ def test_grow_depth_copies_whole_layers(micro_ckpt, micro_config):
         assert grown.tensors[name].tobytes() == micro_ckpt.tensors[name].tobytes()
 
 
+def test_grow_depth_lays_out_the_target_roles_in_canonical_order(micro_ckpt):
+    for mode in ("stack", "interpolate"):
+        grown = grow_depth(micro_ckpt, 5, mode)
+        assert list(grown.tensors) == list(tensor_axes(grown.config))
+
+
 def test_grow_depth_rejects_moe(micro_ckpt, moe_small):
     sparse = upcycle(micro_ckpt, moe_small, seed=0)
     with pytest.raises(ValidationError):
@@ -546,3 +555,71 @@ def test_verify_preservation_reports_what_taped_graphs_give(micro_ckpt, micro_co
     assert report.max_abs_logit_diff == float(np.max(np.abs(a.logits.data - b.logits.data)))
     assert report.loss_diff == float(abs(a.loss.data - b.loss.data))
     assert report.max_abs_logit_diff > 0
+
+
+# -- frozen inputs are shared, unfrozen ones copied once -----------------------
+
+
+def thawed(ckpt: Checkpoint) -> Checkpoint:
+    """An unfrozen checkpoint holding writable copies of ckpt's arrays."""
+    tensors = {name: arr.copy() for name, arr in ckpt.tensors.items()}
+    return Checkpoint(config=ckpt.config, tensors=tensors, moe=ckpt.moe)
+
+
+TRANSFORMS = {
+    "fpi": lambda ck: fpi_expand(ck, doubled(ck.config)),
+    "aki": lambda ck: aki_expand(ck, doubled(ck.config)),
+    "depth": lambda ck: grow_depth(ck, 5, "interpolate"),
+    "scale_up": lambda ck: scale_up(ck, GrowthPlan(
+        method="aki", depth_mode="stack", source_config=ck.config,
+        target_config=dataclasses.replace(doubled(ck.config), n_layers=5))),
+    "upcycle": lambda ck: upcycle(ck, MoEConfig(n_experts=4, top_k=2), seed=1),
+}
+
+
+def test_transforms_share_the_untouched_arrays_of_a_frozen_input(micro_ckpt, micro_config):
+    sources = depth_source_indices(micro_config.n_layers, 5, "interpolate")
+    deep = grow_depth(micro_ckpt, 5, "interpolate")
+    for name, arr in deep.tensors.items():
+        _, layer, role = name.partition("layers.")
+        if layer:
+            i, role = role.split(".", 1)
+            name = f"layers.{sources[int(i)]}.{role}"
+        assert np.shares_memory(arr, micro_ckpt.tensors[name]), name
+    # width growth leaves the key and value biases (axis kv) as they are,
+    # and depth growth then repeats the widened layers without copying them
+    grown = TRANSFORMS["scale_up"](micro_ckpt)
+    for l in range(5):
+        s = l % micro_config.n_layers
+        for role in ("attn.k_bias", "attn.v_bias"):
+            assert np.shares_memory(grown.tensors[f"layers.{l}.{role}"],
+                                    micro_ckpt.tensors[f"layers.{s}.{role}"])
+        for role in ("attn.wq", "mlp.w_down", "mlp_norm"):
+            assert np.shares_memory(grown.tensors[f"layers.{l}.{role}"],
+                                    grown.tensors[f"layers.{s}.{role}"])
+    routed = TRANSFORMS["upcycle"](micro_ckpt)
+    for name, arr in micro_ckpt.tensors.items():
+        if ".mlp." not in name:  # experts get their own copy (test_moe.py)
+            assert np.shares_memory(routed.tensors[name], arr), name
+
+
+@pytest.mark.parametrize("transform", sorted(TRANSFORMS))
+def test_a_transform_of_an_unfrozen_input_ignores_later_writes_to_it(micro_ckpt, transform):
+    ckpt = thawed(micro_ckpt)
+    out = TRANSFORMS[transform](ckpt)
+    for arr in ckpt.tensors.values():
+        arr[...] = 7.0  # the caller's arrays stay the caller's, and writable
+    expected = TRANSFORMS[transform](micro_ckpt)
+    assert list(out.tensors) == list(expected.tensors)
+    for name, arr in out.tensors.items():
+        assert arr.tobytes() == expected.tensors[name].tobytes(), name
+
+
+@pytest.mark.parametrize("transform", sorted(TRANSFORMS))
+@pytest.mark.parametrize("name", ["embed", "layers.1.attn.k_bias", "layers.0.mlp.w_up"])
+def test_a_non_finite_value_in_an_unfrozen_input_fails_every_transform(micro_ckpt, transform,
+                                                                        name):
+    ckpt = thawed(micro_ckpt)
+    ckpt.tensors[name][0] = np.nan
+    with pytest.raises(ValidationError, match="non-finite"):
+        TRANSFORMS[transform](ckpt)
