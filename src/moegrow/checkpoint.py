@@ -3,7 +3,9 @@
 A checkpoint is a directory holding ``config.json`` and ``tensors.bin``.
 ``tensors.bin`` is an 8-byte little-endian header length, a UTF-8 JSON header
 mapping tensor name -> {dtype, shape, data_offsets}, then raw little-endian
-binary32 data. Round-trips are bitwise exact.
+binary32 data. Round-trips are bitwise exact. The header's ``__metadata__``
+entry records a digest of the config document, so tensors and a config
+from different saves do not load as one checkpoint.
 
 ROLES names the axes of every tensor role; tensor shapes, width growth,
 upcycling and parameter counts are all derived from it.
@@ -11,6 +13,7 @@ upcycling and parameter counts are all derived from it.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import math
@@ -29,6 +32,7 @@ from .errors import CheckpointError, ValidationError
 CONFIG_FILE = "config.json"
 TENSORS_FILE = "tensors.bin"
 _DTYPE_TAG = "f32"
+_METADATA = "__metadata__"
 
 
 # Axis names of every tensor role, in canonical (initialization) order. Roles
@@ -214,6 +218,11 @@ def _count(sizes: dict[str, int], moe: MoEConfig | None) -> ParamCount:
     return ParamCount(total=total, activated=total - inactive)
 
 
+def _config_digest(config_doc: dict) -> str:
+    canonical = json.dumps(config_doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.blake2b(canonical.encode("utf-8"), digest_size=16).hexdigest()
+
+
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     """Write a checkpoint directory; load(save(c)) is bitwise identical to c.
 
@@ -230,7 +239,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
         config_doc["moe"] = ckpt.moe.to_dict()
 
     names = sorted(ckpt.tensors)
-    header: dict[str, dict] = {}
+    header: dict[str, dict] = {_METADATA: {"config_digest": _config_digest(config_doc)}}
     offset = 0
     for name in names:
         arr = ckpt.tensors[name]
@@ -270,7 +279,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     """Read a checkpoint directory, validating structure and values.
 
     The tensor data is read once into one buffer; every tensor is a
-    read-only view of it.
+    read-only view of it. A config digest in the tensor header must match
+    config.json; a header written without one loads as before.
     """
     path = Path(path)
     config_path = path / CONFIG_FILE
@@ -284,6 +294,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise CheckpointError(f"unparseable {CONFIG_FILE}: {exc}") from exc
     if not isinstance(config_doc, dict):
         raise CheckpointError(f"{CONFIG_FILE} must hold a JSON object")
+    digest = _config_digest(config_doc)
     moe_doc = config_doc.pop("moe", None)
     if moe_doc is not None and not isinstance(moe_doc, dict):
         raise CheckpointError(f"the moe entry of {CONFIG_FILE} must be a JSON object")
@@ -304,6 +315,9 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             raise CheckpointError(f"unparseable tensor header: {exc}") from exc
         if not isinstance(header, dict):
             raise CheckpointError("tensor header must be a JSON object")
+        metadata = header.pop(_METADATA, {})
+        if not isinstance(metadata, dict):
+            raise CheckpointError(f"the {_METADATA} entry of the tensor header must be a JSON object")
         expected = tensor_count(config, moe)
         if len(header) != expected:
             raise ValidationError(
@@ -341,7 +355,13 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         name: np.frombuffer(data, dtype="<f4", count=math.prod(shape), offset=begin).reshape(shape)
         for name, (begin, _, shape) in spans.items()
     }
-    return Checkpoint(config=config, tensors=tensors, moe=moe).freeze()
+    ckpt = Checkpoint(config=config, tensors=tensors, moe=moe).freeze()
+    if metadata.get("config_digest", digest) != digest:
+        raise CheckpointError(
+            f"{TENSORS_FILE} was saved with a different {CONFIG_FILE} "
+            "(a save interrupted between its two renames?)"
+        )
+    return ckpt
 
 
 def _check_packed(spans: dict[str, tuple[int, int, tuple[int, ...]]]) -> None:

@@ -261,22 +261,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code, report = args.func(args)
-    except ValidationError as exc:
+        if args.report:
+            Path(args.report).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    except (ValidationError, TrainingDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except TrainingDiverged as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (CheckpointError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+    except (CheckpointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if getattr(args, "report", None):
-        Path(args.report).write_text(
-            json.dumps(report, indent=2) + "\n", encoding="utf-8"
-        )
     return code
 
 

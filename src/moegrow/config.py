@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -24,6 +25,13 @@ def from_fields(cls, data, kind: str):
         return cls(**data)
     except TypeError as exc:  # a field of the wrong JSON type, e.g. a string compared to 0
         raise ValidationError(f"{kind} config field of the wrong type: {exc}") from exc
+
+
+def check_seed(seed):
+    """Return seed if it is a non-negative integer that is not a bool."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+    return seed
 
 
 _POSITIVE_FIELDS = (

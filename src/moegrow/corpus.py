@@ -14,9 +14,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import check_seed
 from .errors import ValidationError
 
 _STATE_BUCKETS = 1 << 16
+_WALK_CHUNK = 1 << 16  # order-1 tokens computed at once
 
 
 def zipf_distribution(vocab: int, exponent: float = 1.0) -> np.ndarray:
@@ -42,7 +44,7 @@ def make_synthetic_corpus(seed: int, vocab: int, n_tokens: int, order: int = 1,
     if not 0.0 <= favorite_mass < 1.0:
         raise ValidationError(f"favorite_mass must be in [0, 1), got {favorite_mass}")
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     popularity = zipf_distribution(vocab)
     # favorites keyed by a hash of the context; drawing them from the
     # popularity distribution skews the unigram distribution too
@@ -53,6 +55,9 @@ def make_synthetic_corpus(seed: int, vocab: int, n_tokens: int, order: int = 1,
     exploration = rng.choice(vocab, size=n_tokens, p=popularity)
 
     context = [int(t) for t in rng.choice(vocab, size=order, p=popularity)]
+    if order == 1:
+        favorite_of = favorites[(coefs[0] * np.arange(vocab)) % _STATE_BUCKETS]
+        return _walk_order1(favorite_of, context[0], emit_favorite, exploration)
     out = np.empty(n_tokens, dtype=np.int64)
     for t in range(n_tokens):
         if emit_favorite[t]:
@@ -68,6 +73,34 @@ def make_synthetic_corpus(seed: int, vocab: int, n_tokens: int, order: int = 1,
     return out
 
 
+def _walk_order1(favorite_of: np.ndarray, start: int, emit_favorite: np.ndarray,
+                 exploration: np.ndarray) -> np.ndarray:
+    """The order-1 chain without a per-token loop.
+
+    A favorite d steps after the last drawn token a is favorite_of^d(a). Each
+    chunk finds every favorite's anchor with a running maximum, then applies
+    favorite_of^d to all of them at once by binary lifting: one pass per bit
+    of the longest run, squaring the map between passes. Chunks bound the
+    working memory; each starts from the last token of the one before.
+    """
+    out = np.empty_like(exploration)
+    for lo in range(0, len(out), _WALK_CHUNK):
+        emit = emit_favorite[lo:lo + _WALK_CHUNK]
+        pos = np.arange(len(emit))
+        anchor = np.maximum.accumulate(np.where(emit, -1, pos))
+        steps = pos - anchor
+        tokens = out[lo:lo + len(emit)]
+        # anchor -1 is the token before the chunk
+        tokens[:] = np.where(anchor < 0, start, exploration[lo + anchor])
+        power = favorite_of
+        for bit in range(int(steps.max()).bit_length()):
+            hit = np.flatnonzero(steps & (1 << bit))
+            tokens[hit] = power[tokens[hit]]
+            power = power[power]
+        start = tokens[-1]
+    return out
+
+
 def unigram_entropy(tokens: np.ndarray, vocab: int) -> float:
     """Empirical entropy (nats) of the token marginal distribution."""
     counts = np.bincount(np.asarray(tokens).astype(np.int64), minlength=vocab)
@@ -76,8 +109,19 @@ def unigram_entropy(tokens: np.ndarray, vocab: int) -> float:
 
 
 def save_tokens(path: str | Path, tokens: np.ndarray) -> None:
-    """Write a token stream as raw little-endian u32, no header."""
-    np.ascontiguousarray(np.asarray(tokens), dtype="<u4").tofile(str(path))
+    """Write a token stream as raw little-endian u32, no header.
+
+    Rejects anything but integer ids in [0, 2**32), which u32 would wrap or
+    truncate.
+    """
+    tokens = np.asarray(tokens)
+    if tokens.dtype.kind not in "iu":
+        raise ValidationError(f"token ids must be integers, got dtype {tokens.dtype}")
+    if tokens.size and (tokens.min() < 0 or tokens.max() >= 1 << 32):
+        raise ValidationError(
+            f"token ids must lie in [0, 2**32), got {tokens.min()}..{tokens.max()}"
+        )
+    np.ascontiguousarray(tokens, dtype="<u4").tofile(str(path))
 
 
 def load_tokens(path: str | Path) -> np.ndarray:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checkpoint import Checkpoint, tensor_axes
-from .config import ModelConfig
+from .config import ModelConfig, check_seed
 from .errors import ValidationError
 from .model import build_graph
 from .tensor import no_tape
@@ -329,7 +329,7 @@ def verify_preservation(src_ckpt: Checkpoint, dst_ckpt: Checkpoint, n_probes: in
         raise ValidationError("n_probes must be >= 1")
     length = min(probe_len, src_ckpt.config.context_length, dst_ckpt.config.context_length)
     length = max(length, 2)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     probes = rng.integers(0, src_ckpt.config.vocab_size, size=(n_probes, length))
     with no_tape():
         g_src = build_graph(src_ckpt, probes, dtype=dtype)

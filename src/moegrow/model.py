@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .checkpoint import Checkpoint, tensor_shapes
-from .config import ModelConfig
+from .config import ModelConfig, check_seed
 from .errors import TrainingDiverged, ValidationError
 from .moe import load_balance_term, route_batch, z_term
 from .tensor import Tensor, no_huge_pages, no_tape
@@ -61,7 +61,7 @@ class ModelGraph:
 def random_init(config: ModelConfig, seed: int, init_std: float = 0.02) -> Checkpoint:
     """Fresh dense checkpoint: normal(0, init_std) weights, unit norm gains."""
     config.validate()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     tensors: dict[str, np.ndarray] = {}
     for name, shape in tensor_shapes(config).items():
         if name.endswith("norm"):

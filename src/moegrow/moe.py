@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checkpoint import Checkpoint, tensor_shapes
-from .config import MoEConfig
+from .config import MoEConfig, check_seed
 from .errors import ValidationError
 from .tensor import Tensor
 
@@ -135,7 +135,7 @@ def upcycle(dense: Checkpoint, moe_cfg: MoEConfig, seed: int) -> Checkpoint:
     dense = dense.snapshot()
     moe_cfg.validate()
     cfg = dense.config
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     tensors: dict[str, np.ndarray] = {}
     shared: dict[str, np.ndarray] = {}  # dense MLP tensor name -> the experts' copy
     for name, shape in tensor_shapes(cfg, moe_cfg).items():

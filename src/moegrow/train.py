@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import Checkpoint, count_config_params
-from .config import ModelConfig, MoEConfig, from_fields
+from .config import ModelConfig, MoEConfig, check_seed, from_fields
 from .errors import TrainingDiverged, ValidationError
 from .model import build_graph, eval_loss, random_init
 from .moe import upcycle
@@ -58,6 +58,7 @@ class TrainConfig:
             raise ValidationError("adam betas must be in [0, 1)")
         if self.weight_decay < 0:
             raise ValidationError("weight_decay must be >= 0")
+        check_seed(self.seed)
 
     @property
     def sequences_per_batch(self) -> int:

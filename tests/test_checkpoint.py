@@ -268,12 +268,15 @@ def test_header_byte_edits_raise_only_typed_errors(micro_ckpt, tmp_path_factory,
 
 def test_file_layout_header_then_raw_data(micro_ckpt, tmp_path):
     # The binary format is self-describing: u64 header length, JSON header,
-    # then tightly packed little-endian binary32 payloads.
+    # then tightly packed little-endian binary32 payloads. Beside the tensors
+    # the header holds only the config digest.
     path = tmp_path / "ck"
     save_checkpoint(micro_ckpt, path)
     blob = (path / "tensors.bin").read_bytes()
     (n,) = struct.unpack("<Q", blob[:8])
     header = json.loads(blob[8 : 8 + n].decode("utf-8"))
+    metadata = header.pop("__metadata__")
+    assert list(metadata) == ["config_digest"] and len(metadata["config_digest"]) == 32
     assert set(header) == set(micro_ckpt.tensors)
     start, end = header["embed"]["data_offsets"]
     raw = blob[8 + n + start : 8 + n + end]
@@ -477,7 +480,8 @@ def test_load_rejects_unread_bytes_before_or_between_tensors(micro_ckpt, tmp_pat
     blob = (tmp_path / "tensors.bin").read_bytes()
     (n,) = struct.unpack("<Q", blob[:8])
     header, data = json.loads(blob[8 : 8 + n]), blob[8 + n :]
-    order = sorted(header, key=lambda name: header[name]["data_offsets"])
+    tensors = [name for name in header if name != "__metadata__"]
+    order = sorted(tensors, key=lambda name: header[name]["data_offsets"])
     cut = header[order[at]]["data_offsets"][0]
     for name in order[at:]:
         header[name]["data_offsets"] = [offset + 4 for offset in header[name]["data_offsets"]]
@@ -528,3 +532,34 @@ def test_load_rejects_a_config_claiming_more_layers_before_expanding_it(micro_ck
     assert peak < 10 * 2**20, peak
     assert isinstance(error, ValidationError), error
     assert "implies" in str(error)
+
+
+def test_tensors_and_config_of_different_saves_do_not_load(micro_ckpt, tmp_path):
+    # a crash between the two renames of a save leaves the new tensors.bin
+    # beside the old config.json; top_k changes no shape, so only the
+    # config digest in the header tells the two saves apart
+    one = upcycle(micro_ckpt, MoEConfig(n_experts=4, top_k=1), seed=5)
+    two = upcycle(micro_ckpt, MoEConfig(n_experts=4, top_k=2), seed=5)
+    save_checkpoint(one, tmp_path / "one")
+    save_checkpoint(two, tmp_path / "two")
+    blob_one = (tmp_path / "one" / "tensors.bin").read_bytes()
+    blob_two = (tmp_path / "two" / "tensors.bin").read_bytes()
+    (tmp_path / "one" / "tensors.bin").write_bytes(blob_two)
+    (tmp_path / "two" / "tensors.bin").write_bytes(blob_one)
+    for name in ("one", "two"):
+        with pytest.raises(CheckpointError, match="different config.json"):
+            load_checkpoint(tmp_path / name)
+
+
+def test_a_header_without_a_config_digest_still_loads(micro_ckpt, tmp_path):
+    save_checkpoint(micro_ckpt, tmp_path)
+    _edit_header(tmp_path, lambda header: {k: v for k, v in header.items() if k != "__metadata__"})
+    loaded = load_checkpoint(tmp_path)
+    assert all(loaded.tensors[k].tobytes() == v.tobytes() for k, v in micro_ckpt.tensors.items())
+
+
+def test_a_malformed_metadata_entry_is_a_checkpoint_error(micro_ckpt, tmp_path):
+    save_checkpoint(micro_ckpt, tmp_path)
+    _edit_header(tmp_path, lambda header: dict(header, __metadata__=[]))
+    with pytest.raises(CheckpointError, match="__metadata__"):
+        load_checkpoint(tmp_path)

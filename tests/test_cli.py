@@ -203,6 +203,16 @@ def test_train_divergence_exits_one(workspace, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+def test_unwritable_report_exits_two_with_an_error_line(workspace, capsys):
+    tokens = workspace / "tokens.u32"
+    code = run(["synth", "--seed", 1, "--vocab", 16, "--tokens", 100, "--out", tokens,
+                "--report", workspace / "missing" / "r.json"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert len(load_tokens(tokens)) == 100
+
+
 def test_console_script_help_and_savings(tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "moegrow.cli", "--help"],
@@ -236,7 +246,23 @@ def _missing_tokens(ws):
     (ws / "data.u32").unlink()
 
 
+def _context_length_edited(ws):
+    # the config a save torn between its renames leaves: same shapes, other values
+    doc = json.loads((ws / "dense" / "config.json").read_text())
+    (ws / "dense" / "config.json").write_text(json.dumps(dict(doc, context_length=32)))
+
+
+def _train_seed(seed):
+    def write(ws):
+        (ws / "train.json").write_text(json.dumps({
+            "total_steps": 1, "warmup_steps": 0, "batch_tokens": 16, "seq_len": 8, "seed": seed,
+        }))
+    return write
+
+
 EVAL = ["eval", "--in", "{ws}/dense", "--data", "{ws}/data.u32"]
+TRAIN = ["train", "--in", "{ws}/dense", "--data", "{ws}/data.u32", "--config", "{ws}/train.json",
+         "--out", "{ws}/x"]
 
 
 @pytest.mark.parametrize("argv, break_input, code", [
@@ -245,11 +271,21 @@ EVAL = ["eval", "--in", "{ws}/dense", "--data", "{ws}/data.u32"]
     (EVAL, _moe_is_a_list, 2),
     (EVAL, _missing_tokens, 2),
     (EVAL, _partial_token, 1),
+    (EVAL, _context_length_edited, 2),
     (["train", "--in", "{ws}/dense", "--data", "{ws}/data.u32", "--config", "{ws}/list.json",
       "--out", "{ws}/x"], None, 1),
     (["grow", "--in", "{ws}/dense", "--plan", "{ws}/number.json", "--out", "{ws}/x"], None, 1),
+    (["synth", "--seed", "-1", "--vocab", "16", "--tokens", "100", "--out", "{ws}/x.u32"], None, 1),
+    (["init", "--config", "{ws}/config.json", "--seed", "-3", "--out", "{ws}/x"], None, 1),
+    (["upcycle", "--in", "{ws}/dense", "--seed", "-2", "--out", "{ws}/x"], None, 1),
+    (["verify", "--src", "{ws}/dense", "--dst", "{ws}/dense", "--seed", "-1"], None, 1),
+    (TRAIN, _train_seed(-5), 1),
+    (TRAIN, _train_seed(1.5), 1),
+    (TRAIN, _train_seed(True), 1),
 ], ids=["header-list", "config-list", "moe-list", "missing-tokens", "partial-token",
-        "train-config-list", "plan-number"])
+        "config-from-another-save", "train-config-list", "plan-number", "synth-seed-negative",
+        "init-seed-negative", "upcycle-seed-negative", "verify-seed-negative",
+        "train-seed-negative", "train-seed-float", "train-seed-bool"])
 def test_malformed_input_exits_with_an_error_line(workspace, capsys, argv, break_input, code):
     run(["init", "--config", workspace / "config.json", "--seed", 0, "--out", workspace / "dense"])
     save_tokens(workspace / "data.u32", np.arange(40) % 16)

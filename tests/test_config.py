@@ -1,8 +1,18 @@
 import json
 
+import numpy as np
 import pytest
 
-from moegrow import ModelConfig, MoEConfig, TrainConfig, ValidationError
+from moegrow import (
+    ModelConfig,
+    MoEConfig,
+    TrainConfig,
+    ValidationError,
+    make_synthetic_corpus,
+    random_init,
+    upcycle,
+    verify_preservation,
+)
 
 
 def test_derived_dims(micro_config):
@@ -105,3 +115,26 @@ def test_from_dict_rejects_non_objects(cls, data):
 def test_from_dict_rejects_wrong_field_types(cls, data):
     with pytest.raises(ValidationError):
         cls.from_dict(data)
+
+
+BAD_SEEDS = [-1, 1.5, True, None, "3"]
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS, ids=repr)
+def test_every_seed_entry_point_rejects_a_bad_seed(micro_config, micro_ckpt, seed):
+    entry_points = [
+        lambda: make_synthetic_corpus(seed, vocab=16, n_tokens=10),
+        lambda: random_init(micro_config, seed),
+        lambda: upcycle(micro_ckpt, MoEConfig(n_experts=2, top_k=1), seed),
+        lambda: verify_preservation(micro_ckpt, micro_ckpt, seed=seed),
+        lambda: TrainConfig(seed=seed),
+    ]
+    for call in entry_points:
+        with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
+            call()
+
+
+def test_numpy_integer_seeds_are_seeds(micro_config):
+    a = random_init(micro_config, np.int64(7))
+    b = random_init(micro_config, 7)
+    assert a.tensors["embed"].tobytes() == b.tensors["embed"].tobytes()

@@ -1,5 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moegrow import (
     ValidationError,
@@ -9,6 +13,31 @@ from moegrow import (
     unigram_entropy,
 )
 from moegrow.corpus import zipf_distribution
+
+
+def _digest(tokens: np.ndarray) -> str:
+    return hashlib.blake2b(tokens.tobytes(), digest_size=16).hexdigest()
+
+
+def _reference_corpus(seed, vocab, n_tokens, order, favorite_mass):
+    """The chain walked one token at a time, with the library's RNG calls."""
+    rng = np.random.default_rng(seed)
+    popularity = zipf_distribution(vocab)
+    favorites = rng.choice(vocab, size=1 << 16, p=popularity)
+    coefs = [int(c) | 1 for c in rng.integers(1, 1 << 30, size=order)]
+    emit_favorite = rng.random(n_tokens) < favorite_mass
+    exploration = rng.choice(vocab, size=n_tokens, p=popularity)
+    context = [int(t) for t in rng.choice(vocab, size=order, p=popularity)]
+    out = np.empty(n_tokens, dtype=np.int64)
+    for t in range(n_tokens):
+        if emit_favorite[t]:
+            h = sum(c * tok for c, tok in zip(coefs, context)) % (1 << 16)
+            token = int(favorites[h])
+        else:
+            token = int(exploration[t])
+        out[t] = token
+        context = context[1:] + [token]
+    return out
 
 
 def test_zipf_is_a_distribution():
@@ -25,6 +54,41 @@ def test_corpus_shape_and_range(corpus):
     assert corpus.shape == (50000,)
     assert corpus.min() >= 0
     assert corpus.max() < 256
+
+
+def test_corpus_fixture_stream_is_pinned(corpus):
+    assert _digest(corpus) == "9995fa504677a3d08c3d87a467b9335b"
+
+
+@pytest.mark.parametrize("seed, digest", [
+    (1, "67d1cc84a384aa153b298ce1eda069a0"),
+    (2, "f7c5e67b5ca659f26d5e9b70ca82e2a7"),
+    (3, "4076d813760037e4710098c89a8504c9"),
+])
+def test_benchmark_shaped_stream_is_pinned(seed, digest):
+    assert _digest(make_synthetic_corpus(seed, 256, 36000, favorite_mass=0.7)) == digest
+
+
+def test_higher_order_streams_are_pinned():
+    second = make_synthetic_corpus(seed=6, vocab=64, n_tokens=5000, order=2)
+    third = make_synthetic_corpus(seed=7, vocab=300, n_tokens=4000, order=3, favorite_mass=0.9)
+    assert _digest(second) == "5d98e313c8c839568fbd2ccd254adbb4"
+    assert _digest(third) == "9b03db243a35c2888ed2ba704c4f372f"
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    vocab=st.integers(2, 1000),
+    n_tokens=st.integers(1, 4000),
+    order=st.integers(1, 3),
+    favorite_mass=st.floats(0.0, 0.999),
+)
+def test_corpus_equals_the_reference_loop(seed, vocab, n_tokens, order, favorite_mass):
+    got = make_synthetic_corpus(seed, vocab, n_tokens, order=order, favorite_mass=favorite_mass)
+    want = _reference_corpus(seed, vocab, n_tokens, order, favorite_mass)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
 
 
 def test_corpus_deterministic():
@@ -89,6 +153,21 @@ def test_token_file_roundtrip(tmp_path, corpus):
     np.testing.assert_array_equal(again, corpus[:1000])
     # four bytes per token on disk, nothing else
     assert path.stat().st_size == 4 * 1000
+
+
+@pytest.mark.parametrize("tokens", [[-1, 2**32 + 5, 7], [1.7, 2.2], [True, False]],
+                         ids=["out-of-range", "float", "bool"])
+def test_save_tokens_rejects_ids_u32_cannot_hold(tmp_path, tokens):
+    path = tmp_path / "tokens.u32"
+    with pytest.raises(ValidationError, match="token ids"):
+        save_tokens(path, np.array(tokens))
+    assert not path.exists()
+
+
+def test_save_tokens_keeps_the_u32_extremes(tmp_path):
+    path = tmp_path / "tokens.u32"
+    save_tokens(path, np.array([0, 2**32 - 1], dtype=np.uint64))
+    np.testing.assert_array_equal(load_tokens(path), [0, 2**32 - 1])
 
 
 def test_load_tokens_missing_file(tmp_path):
