@@ -134,14 +134,12 @@ class Checkpoint:
         super().__setattr__(name, value)
 
     def validate(self) -> None:
-        """Check configs, names, dtypes, shapes and finiteness; a frozen
-        checkpoint passed all of them when it was frozen and returns at once.
-        An array held under several names is scanned once."""
+        """Check names, dtypes, shapes and finiteness against the configs,
+        which were checked when built; a frozen checkpoint passed all of them
+        when it was frozen and returns at once. An array held under several
+        names is scanned once."""
         if self._frozen:
             return
-        self.config.validate()
-        if self.moe is not None:
-            self.moe.validate()
         expected = tensor_shapes(self.config, self.moe)
         missing = sorted(set(expected) - set(self.tensors))
         if missing:
@@ -200,9 +198,6 @@ def count_params(ckpt: Checkpoint) -> ParamCount:
 
 def count_config_params(config: ModelConfig, moe: MoEConfig | None = None) -> ParamCount:
     """Parameter counts implied by a config, without materializing tensors."""
-    config.validate()
-    if moe is not None:
-        moe.validate()
     sizes = {name: math.prod(shape) for name, shape in tensor_shapes(config, moe).items()}
     return _count(sizes, moe)
 

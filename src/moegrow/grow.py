@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checkpoint import Checkpoint, tensor_axes
-from .config import ModelConfig, check_seed
+from .config import ModelConfig, Record, check_seed
 from .errors import ValidationError
 from .model import build_graph
 from .tensor import no_tape
@@ -139,8 +139,6 @@ def expand_out_axis(w: np.ndarray, wmap: WidthMap, donor: np.ndarray | None = No
 
 
 def _check_width_growth(src: ModelConfig, tgt: ModelConfig) -> None:
-    src.validate()
-    tgt.validate()
     if tgt.n_layers != src.n_layers:
         raise ValidationError("width expansion keeps n_layers fixed; grow depth separately")
     if tgt.kv_groups != src.kv_groups:
@@ -242,8 +240,10 @@ def grow_depth(ckpt: Checkpoint, target_layers: int, mode: str) -> Checkpoint:
 
 
 @dataclass(frozen=True)
-class GrowthPlan:
+class GrowthPlan(Record):
     """A full scale-up recipe: width method, depth mode, and both configs."""
+
+    _kind = "growth plan"
 
     method: str
     depth_mode: str
@@ -262,28 +262,6 @@ class GrowthPlan:
         )
         _check_width_growth(self.source_config, width_target)
 
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "depth_mode": self.depth_mode,
-            "source_config": self.source_config.to_dict(),
-            "target_config": self.target_config.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GrowthPlan":
-        required = {"method", "depth_mode", "source_config", "target_config"}
-        if not isinstance(data, dict) or set(data) != required:
-            raise ValidationError(
-                f"growth plan must be a JSON object with exactly the fields {sorted(required)}"
-            )
-        return cls(
-            method=data["method"],
-            depth_mode=data["depth_mode"],
-            source_config=ModelConfig.from_dict(data["source_config"]),
-            target_config=ModelConfig.from_dict(data["target_config"]),
-        )
-
     @classmethod
     def from_json(cls, text: str) -> "GrowthPlan":
         try:
@@ -295,7 +273,6 @@ class GrowthPlan:
 
 def scale_up(ckpt: Checkpoint, plan: GrowthPlan) -> Checkpoint:
     """Grow width first (sharing one map across layers), then depth."""
-    plan.validate()
     if ckpt.config != plan.source_config:
         raise ValidationError("checkpoint config does not match the plan's source_config")
     width_target = dataclasses.replace(plan.target_config, n_layers=ckpt.config.n_layers)

@@ -55,12 +55,10 @@ class ModelGraph:
     z: Tensor | None
     objective: Tensor | None
     expert_idx: list[np.ndarray] = field(default_factory=list)
-    router_probs: list[np.ndarray] = field(default_factory=list)
 
 
 def random_init(config: ModelConfig, seed: int, init_std: float = 0.02) -> Checkpoint:
     """Fresh dense checkpoint: normal(0, init_std) weights, unit norm gains."""
-    config.validate()
     rng = np.random.default_rng(check_seed(seed))
     tensors: dict[str, np.ndarray] = {}
     for name, shape in tensor_shapes(config).items():
@@ -135,7 +133,6 @@ def build_graph(ckpt: Checkpoint, tokens, dtype=np.float32) -> ModelGraph:
     aux_terms: list[Tensor] = []
     z_terms: list[Tensor] = []
     expert_idx: list[np.ndarray] = []
-    router_probs: list[np.ndarray] = []
 
     x = params["embed"].gather(tokens.reshape(-1), axis=0).reshape(batch, seq, cfg.hidden_dim)
     for i in range(cfg.n_layers):
@@ -168,7 +165,6 @@ def build_graph(ckpt: Checkpoint, tokens, dtype=np.float32) -> ModelGraph:
             aux_terms.append(load_balance_term(probs, idx, ckpt.moe.n_experts))
             z_terms.append(z_term(router_logits))
             expert_idx.append(idx)
-            router_probs.append(probs.data)
         else:
             x = x + _gated_mlp(hn, params, f"{p}.mlp")
 
@@ -193,7 +189,6 @@ def build_graph(ckpt: Checkpoint, tokens, dtype=np.float32) -> ModelGraph:
         z=z,
         objective=objective,
         expert_idx=expert_idx,
-        router_probs=router_probs,
     )
 
 

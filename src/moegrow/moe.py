@@ -133,7 +133,6 @@ def upcycle(dense: Checkpoint, moe_cfg: MoEConfig, seed: int) -> Checkpoint:
     if dense.moe is not None:
         raise ValidationError("checkpoint already has routed expert layers")
     dense = dense.snapshot()
-    moe_cfg.validate()
     cfg = dense.config
     rng = np.random.default_rng(check_seed(seed))
     tensors: dict[str, np.ndarray] = {}

@@ -11,13 +11,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .config import from_fields
+from .config import Record
 from .errors import ValidationError
 
 
 @dataclass(frozen=True)
-class PhaseSpec:
+class PhaseSpec(Record):
     """One training phase (or the from-scratch baseline)."""
+
+    _kind = "phase"
 
     name: str
     devices: int
@@ -25,9 +27,6 @@ class PhaseSpec:
     model_size_B: float
     trained_tokens_B: float
     tokens_per_day_B: float
-
-    def __post_init__(self) -> None:
-        self.validate()
 
     def validate(self) -> None:
         for fname in ("devices", "gflops_per_device", "model_size_B",
@@ -43,20 +42,6 @@ class PhaseSpec:
     @property
     def days(self) -> float:
         return self.trained_tokens_B / self.tokens_per_day_B
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "devices": self.devices,
-            "gflops_per_device": self.gflops_per_device,
-            "model_size_B": self.model_size_B,
-            "trained_tokens_B": self.trained_tokens_B,
-            "tokens_per_day_B": self.tokens_per_day_B,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PhaseSpec":
-        return from_fields(cls, data, "phase")
 
 
 @dataclass(frozen=True)
@@ -93,49 +78,37 @@ class SavingsReport:
         }
 
 
-def _validate_plan(phases: list[PhaseSpec], baseline: PhaseSpec) -> None:
+def _validate_plan(phases: list[PhaseSpec]) -> None:
     if not phases:
         raise ValidationError("plan needs at least one phase")
-    for p in phases:
-        p.validate()
-    baseline.validate()
 
 
 def time_savings_factor(phases: list[PhaseSpec], baseline: PhaseSpec) -> float:
     """Days to train all tokens at baseline throughput, over actual days."""
-    _validate_plan(phases, baseline)
-    total_tokens = sum(p.trained_tokens_B for p in phases)
-    baseline_days = total_tokens / baseline.tokens_per_day_B
-    actual_days = sum(p.days for p in phases)
-    return baseline_days / actual_days
+    return savings_report(phases, baseline).time_factor
 
 
 def power_savings_factor(phases: list[PhaseSpec], baseline: PhaseSpec) -> float:
     """Baseline GFLOPS-days over the summed per-phase GFLOPS-days."""
-    _validate_plan(phases, baseline)
-    total_tokens = sum(p.trained_tokens_B for p in phases)
-    baseline_cost = baseline.cluster_gflops * (total_tokens / baseline.tokens_per_day_B)
-    actual_cost = sum(p.cluster_gflops * p.days for p in phases)
-    return baseline_cost / actual_cost
+    return savings_report(phases, baseline).power_factor
 
 
 def savings_report(phases: list[PhaseSpec], baseline: PhaseSpec) -> SavingsReport:
-    _validate_plan(phases, baseline)
-    total_tokens = sum(p.trained_tokens_B for p in phases)
+    """Both factors and the costs behind them, computed once."""
+    _validate_plan(phases)
+    costs = tuple(
+        PhaseCost(name=p.name, days=p.days, cluster_gflops=p.cluster_gflops,
+                  gflops_days=p.cluster_gflops * p.days)
+        for p in phases
+    )
+    baseline_days = sum(p.trained_tokens_B for p in phases) / baseline.tokens_per_day_B
+    baseline_gflops_days = baseline.cluster_gflops * baseline_days
     return SavingsReport(
-        time_factor=time_savings_factor(phases, baseline),
-        power_factor=power_savings_factor(phases, baseline),
-        baseline_days=total_tokens / baseline.tokens_per_day_B,
-        baseline_gflops_days=baseline.cluster_gflops * total_tokens / baseline.tokens_per_day_B,
-        phase_costs=tuple(
-            PhaseCost(
-                name=p.name,
-                days=p.days,
-                cluster_gflops=p.cluster_gflops,
-                gflops_days=p.cluster_gflops * p.days,
-            )
-            for p in phases
-        ),
+        time_factor=baseline_days / sum(c.days for c in costs),
+        power_factor=baseline_gflops_days / sum(c.gflops_days for c in costs),
+        baseline_days=baseline_days,
+        baseline_gflops_days=baseline_gflops_days,
+        phase_costs=costs,
     )
 
 
@@ -151,5 +124,5 @@ def load_plan(text: str) -> tuple[list[PhaseSpec], PhaseSpec]:
         raise ValidationError("'phases' must be a list")
     phases = [PhaseSpec.from_dict(p) for p in doc["phases"]]
     baseline = PhaseSpec.from_dict(doc["baseline"])
-    _validate_plan(phases, baseline)
+    _validate_plan(phases)
     return phases, baseline

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import Checkpoint, count_config_params
-from .config import ModelConfig, MoEConfig, check_seed, from_fields
+from .config import ModelConfig, MoEConfig, Record, Seed
 from .errors import TrainingDiverged, ValidationError
 from .model import build_graph, eval_loss, random_init
 from .moe import upcycle
@@ -25,20 +25,19 @@ MIN_LR_FRACTION = 0.1  # cosine decays to this fraction of peak lr
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(Record):
+    _kind = "train config"
+
     lr: float = 3e-4
     warmup_steps: int = 20
     total_steps: int = 200
     batch_tokens: int = 512
     seq_len: int = 32
-    seed: int = 0
+    seed: Seed = 0
     weight_decay: float = 0.01
     beta1: float = 0.9
     beta2: float = 0.95
     adam_eps: float = 1e-8
-
-    def __post_init__(self) -> None:
-        self.validate()
 
     def validate(self) -> None:
         # lr == 0 is allowed as an explicit no-op run
@@ -58,18 +57,12 @@ class TrainConfig:
             raise ValidationError("adam betas must be in [0, 1)")
         if self.weight_decay < 0:
             raise ValidationError("weight_decay must be >= 0")
-        check_seed(self.seed)
+        if self.adam_eps <= 0:
+            raise ValidationError(f"adam_eps must be > 0, got {self.adam_eps}")
 
     @property
     def sequences_per_batch(self) -> int:
         return self.batch_tokens // self.seq_len
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TrainConfig":
-        return from_fields(cls, data, "train")
 
 
 def lr_schedule(cfg: TrainConfig, step: int) -> float:
@@ -137,11 +130,12 @@ def train(ckpt: Checkpoint, dataset, cfg: TrainConfig, eval_data=None,
     Weight decay is applied uniformly to every tensor (decoupled form).
     A non-finite objective aborts with the offending step index.
     """
-    cfg.validate()
     ckpt.validate()
     dataset = np.asarray(dataset)
     if eval_every is None:
         eval_every = max(1, cfg.total_steps // 10)
+    if eval_every < 1:
+        raise ValidationError(f"eval_every must be >= 1, got {eval_every}")
 
     params = {name: arr.astype(np.float32) for name, arr in ckpt.tensors.items()}
     m = {name: np.zeros_like(arr) for name, arr in params.items()}

@@ -252,12 +252,17 @@ def _context_length_edited(ws):
     (ws / "dense" / "config.json").write_text(json.dumps(dict(doc, context_length=32)))
 
 
-def _train_seed(seed):
+def _train_config(**fields):
     def write(ws):
         (ws / "train.json").write_text(json.dumps({
-            "total_steps": 1, "warmup_steps": 0, "batch_tokens": 16, "seq_len": 8, "seed": seed,
+            "total_steps": 1, "warmup_steps": 0, "batch_tokens": 16, "seq_len": 8, "seed": 0,
+            **fields,
         }))
     return write
+
+
+def _model_string_bias(ws):
+    (ws / "bias.json").write_text(json.dumps(dict(MICRO, qkv_bias="false")))
 
 
 EVAL = ["eval", "--in", "{ws}/dense", "--data", "{ws}/data.u32"]
@@ -279,13 +284,17 @@ TRAIN = ["train", "--in", "{ws}/dense", "--data", "{ws}/data.u32", "--config", "
     (["init", "--config", "{ws}/config.json", "--seed", "-3", "--out", "{ws}/x"], None, 1),
     (["upcycle", "--in", "{ws}/dense", "--seed", "-2", "--out", "{ws}/x"], None, 1),
     (["verify", "--src", "{ws}/dense", "--dst", "{ws}/dense", "--seed", "-1"], None, 1),
-    (TRAIN, _train_seed(-5), 1),
-    (TRAIN, _train_seed(1.5), 1),
-    (TRAIN, _train_seed(True), 1),
+    (TRAIN, _train_config(seed=-5), 1),
+    (TRAIN, _train_config(seed=1.5), 1),
+    (TRAIN, _train_config(seed=True), 1),
+    (TRAIN, _train_config(total_steps=2.5), 1),
+    (["init", "--config", "{ws}/bias.json", "--seed", "0", "--out", "{ws}/x"], _model_string_bias, 1),
+    (TRAIN + ["--eval-data", "{ws}/data.u32", "--eval-every", "0"], _train_config(), 1),
 ], ids=["header-list", "config-list", "moe-list", "missing-tokens", "partial-token",
         "config-from-another-save", "train-config-list", "plan-number", "synth-seed-negative",
         "init-seed-negative", "upcycle-seed-negative", "verify-seed-negative",
-        "train-seed-negative", "train-seed-float", "train-seed-bool"])
+        "train-seed-negative", "train-seed-float", "train-seed-bool", "train-steps-float",
+        "model-bias-string", "eval-every-zero"])
 def test_malformed_input_exits_with_an_error_line(workspace, capsys, argv, break_input, code):
     run(["init", "--config", workspace / "config.json", "--seed", 0, "--out", workspace / "dense"])
     save_tokens(workspace / "data.u32", np.arange(40) % 16)

@@ -1,18 +1,27 @@
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
 from moegrow import (
+    GrowthPlan,
     ModelConfig,
     MoEConfig,
+    PhaseSpec,
     TrainConfig,
     ValidationError,
+    count_config_params,
     make_synthetic_corpus,
     random_init,
+    savings_report,
+    scale_up,
+    train,
     upcycle,
     verify_preservation,
 )
+from moegrow.config import Record
 
 
 def test_derived_dims(micro_config):
@@ -138,3 +147,107 @@ def test_numpy_integer_seeds_are_seeds(micro_config):
     a = random_init(micro_config, np.int64(7))
     b = random_init(micro_config, 7)
     assert a.tensors["embed"].tobytes() == b.tensors["embed"].tobytes()
+
+
+# -- records: types checked from the annotations, once, at construction --------
+
+MICRO = ModelConfig(n_layers=2, hidden_dim=8, n_heads=4, head_dim=2, kv_groups=2,
+                    intermediate_dim=6, vocab_size=16, qkv_bias=True, context_length=64)
+RECORDS = {
+    "model": MICRO,
+    "moe": MoEConfig(n_experts=4, top_k=1, z_coeff=0, router_init_std=0.5),
+    "train": TrainConfig(lr=1e-3, warmup_steps=1, total_steps=3, batch_tokens=16,
+                         seq_len=8, seed=5),
+    "phase": PhaseSpec(name="scale-up", devices=1024, gflops_per_device=240,
+                       model_size_B=16.0, trained_tokens_B=1200.0, tokens_per_day_B=70.0),
+    "plan": GrowthPlan(method="aki", depth_mode="interpolate", source_config=MICRO,
+                       target_config=dataclasses.replace(MICRO, n_layers=4, hidden_dim=16,
+                                                         n_heads=8, intermediate_dim=12)),
+}
+
+
+@pytest.mark.parametrize("record", RECORDS.values(), ids=RECORDS)
+def test_records_round_trip_through_their_dicts(record):
+    cls = type(record)
+    assert cls.from_dict(record.to_dict()) == record
+    blob = json.dumps(record.to_dict())
+    again = GrowthPlan.from_json(blob) if cls is GrowthPlan else cls.from_dict(json.loads(blob))
+    assert again == record
+
+
+WRONG_TYPES = [
+    ("model", "n_layers", "2"),
+    ("model", "hidden_dim", 8.0),
+    ("model", "n_heads", True),
+    ("model", "vocab_size", np.int64(16)),
+    ("model", "qkv_bias", "false"),
+    ("model", "qkv_bias", 1),
+    ("moe", "aux_coeff", "high"),
+    ("moe", "top_k", 1.0),
+    ("moe", "aux_coeff", math.nan),
+    ("moe", "router_init_std", math.inf),
+    ("moe", "z_coeff", False),
+    ("moe", "renormalize_gates", "yes"),
+    ("train", "lr", math.nan),
+    ("train", "lr", "fast"),
+    ("train", "total_steps", 2.5),
+    ("train", "batch_tokens", 40.5),
+    ("train", "adam_eps", -math.inf),
+    ("phase", "devices", math.inf),
+    ("phase", "devices", 8.0),
+    ("phase", "gflops_per_device", "many"),
+    ("phase", "tokens_per_day_B", math.nan),
+    ("phase", "name", 5),
+    ("plan", "method", 1),
+    ("plan", "source_config", MICRO.to_dict()),
+]
+
+
+@pytest.mark.parametrize("kind, field, value", WRONG_TYPES, ids=repr)
+def test_a_field_of_the_wrong_type_is_named(kind, field, value):
+    with pytest.raises(ValidationError, match=field):
+        dataclasses.replace(RECORDS[kind], **{field: value})
+
+
+def test_json_numbers_fill_float_fields_unchanged():
+    cfg = TrainConfig.from_dict({"lr": 0, "weight_decay": 1})
+    assert cfg.lr == 0 and type(cfg.lr) is int
+    assert TrainConfig(seed=np.int64(7)).seed == 7
+
+
+def test_nothing_validates_a_record_again(monkeypatch, micro_ckpt):
+    """Each record is validated once, when built: calls of ``validate`` equal
+    the records built, and the pipeline builds none but the grown configs."""
+    counts = {"built": 0, "validated": 0}
+    post_init = Record.__post_init__
+
+    def counting_post_init(self):
+        counts["built"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(Record, "__post_init__", counting_post_init)
+    for record in RECORDS.values():
+        validate = type(record).validate
+
+        def counting_validate(self, validate=validate):
+            counts["validated"] += 1
+            validate(self)
+
+        monkeypatch.setattr(type(record), "validate", counting_validate)
+
+    moe, cfg, phase, plan = (RECORDS[k] for k in ("moe", "train", "phase", "plan"))
+    data = make_synthetic_corpus(seed=1, vocab=16, n_tokens=200)
+    calls = {
+        "random_init": lambda: random_init(MICRO, seed=0),
+        "upcycle": lambda: upcycle(micro_ckpt, moe, seed=1),
+        "count_config_params": lambda: count_config_params(MICRO, moe),
+        "train": lambda: train(micro_ckpt, data, cfg, eval_data=data, eval_every=1),
+        "savings_report": lambda: savings_report([phase, phase], phase),
+    }
+    for name, call in calls.items():
+        call()
+        assert counts == {"built": 0, "validated": 0}, name
+    ckpt = random_init(plan.source_config, seed=0)
+    scale_up(ckpt, plan)
+    # the width target and the grown config, each validated as it is built
+    assert counts == {"built": 2, "validated": 2}

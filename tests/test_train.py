@@ -70,6 +70,8 @@ def test_schedule_all_warmup_stays_at_peak():
         {"beta1": 1.0},
         {"weight_decay": -0.1},
         {"total_steps": 0},
+        {"adam_eps": -1.0},
+        {"adam_eps": 0.0},
     ],
 )
 def test_train_config_rejects(bad):
@@ -154,6 +156,13 @@ def test_eval_rows_and_improvement(micro_config, corpus):
     series = log.eval_series()
     assert [s for s, _ in series] == [0, 10, 20, 29]
     assert series[-1][1] < series[0][1]
+
+
+@pytest.mark.parametrize("eval_every", [0, -2])
+def test_eval_every_must_be_positive(micro_ckpt, corpus, eval_every):
+    with pytest.raises(ValidationError, match="eval_every"):
+        train(micro_ckpt, corpus % 16, quick_cfg(total_steps=3, warmup_steps=0),
+              eval_data=corpus % 16, eval_every=eval_every)
 
 
 def test_moe_training_logs_aux_losses(micro_ckpt, moe_small, corpus):
