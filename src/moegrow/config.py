@@ -70,8 +70,12 @@ class Record:
         for name, _, accepts, what in _field_rules(type(self)):
             value = getattr(self, name)
             if not accepts(value):
-                raise ValidationError(f"{self._kind}: {name} must be {what}, got {value!r}")
+                raise ValidationError(f"{self._label()}: {name} must be {what}, got {value!r}")
         self.validate()
+
+    def _label(self) -> str:
+        """Names this record in its error messages."""
+        return self._kind
 
     def validate(self) -> None:
         """Range rules of the class; the types are already checked."""

@@ -304,6 +304,10 @@ def verify_preservation(src_ckpt: Checkpoint, dst_ckpt: Checkpoint, n_probes: in
         raise ValidationError("vocab_size mismatch between checkpoints")
     if n_probes < 1:
         raise ValidationError("n_probes must be >= 1")
+    if not tol >= 0:
+        raise ValidationError(f"tol must be a number >= 0, got {tol}")
+    if probe_len < 2:
+        raise ValidationError(f"probe_len must be >= 2 to define a loss, got {probe_len}")
     length = min(probe_len, src_ckpt.config.context_length, dst_ckpt.config.context_length)
     length = max(length, 2)
     rng = np.random.default_rng(check_seed(seed))

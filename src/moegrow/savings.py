@@ -28,12 +28,17 @@ class PhaseSpec(Record):
     trained_tokens_B: float
     tokens_per_day_B: float
 
+    def _label(self) -> str:
+        # fields are type-checked in order, so a wrong-typed name is reported
+        # before any other field, under the plain label
+        return f"phase {self.name!r}" if isinstance(self.name, str) else self._kind
+
     def validate(self) -> None:
         for fname in ("devices", "gflops_per_device", "model_size_B",
                       "trained_tokens_B", "tokens_per_day_B"):
             value = getattr(self, fname)
             if not value > 0:
-                raise ValidationError(f"phase {self.name!r}: {fname} must be > 0, got {value}")
+                raise ValidationError(f"{self._label()}: {fname} must be > 0, got {value}")
 
     @property
     def cluster_gflops(self) -> float:

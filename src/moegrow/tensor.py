@@ -2,10 +2,11 @@
 
 Just enough ops for a decoder-only transformer with routed MLP blocks:
 elementwise arithmetic, batched matmul, shape ops, gathers/scatters with
-unique indices, softmax/logsumexp, and fused RMSNorm, rotary, causal softmax
-and next-token cross entropy ops with hand-written backwards. Graphs are
-built eagerly; ``backward()`` runs one reverse topological pass. Operands
-that are not Tensors (numbers, arrays) are constants and get no gradient.
+unique indices, softmax/logsumexp, and fused RMSNorm, rotary, causal
+softmax, next-token cross entropy, gated MLP and expert mix ops with
+hand-written backwards. Graphs are built eagerly; ``backward()`` runs one
+reverse topological pass. Operands that are not Tensors (numbers, arrays)
+are constants and get no gradient.
 Inside ``no_tape()`` ops record nothing, for forward passes nobody
 differentiates. Inside ``no_huge_pages()`` numpy asks the kernel for no huge
 pages, for the short-lived arrays of a graph.
@@ -89,6 +90,11 @@ def _fold_sum_last(a: np.ndarray) -> np.ndarray:
             a = a[..., :half] + a[..., half:]
         m = a.shape[-1]
     return a
+
+
+def _rows(x: np.ndarray) -> np.ndarray:
+    """x as a matrix of its last axis, every leading axis flattened into rows."""
+    return x.reshape(-1, x.shape[-1])
 
 
 def _softmax_last(z: np.ndarray) -> np.ndarray:
@@ -208,13 +214,14 @@ class Tensor:
         other = self._wrap(other, self.dtype)
         a, b = self.data, other.data
         if a.ndim > 2 and b.ndim == 2:
-            # a weight shared by every row: each gradient is one 2-D GEMM over
-            # the flattened leading axes, not a batched product summed after
-            def rows(x):
-                return x.reshape(-1, x.shape[-1])
-
+            # a weight shared by every row: the product and each gradient are
+            # one 2-D GEMM over the flattened leading axes, not one small
+            # GEMM per leading index
             return self._binary(
-                other, a @ b, lambda g: (rows(g) @ b.T).reshape(a.shape), lambda g: rows(a).T @ rows(g)
+                other,
+                (_rows(a) @ b).reshape(a.shape[:-1] + b.shape[-1:]),
+                lambda g: (_rows(g) @ b.T).reshape(a.shape),
+                lambda g: _rows(a).T @ _rows(g),
             )
         return self._binary(
             other, a @ b, lambda g: g @ np.swapaxes(b, -1, -2), lambda g: np.swapaxes(a, -1, -2) @ g
@@ -344,6 +351,45 @@ class Tensor:
         s = _softmax_last(self.data * scale + mask)
         return self._make(s, (self,), lambda g: (_softmax_last_grad(g, s) * scale,))
 
+    def gated_mlp(self, w_gate: "Tensor", w_up: "Tensor", w_down: "Tensor") -> "Tensor":
+        """The SwiGLU block (silu(x @ w_gate) * (x @ w_up)) @ w_down, for 2-D
+        weight Tensors and an x of two or more axes.
+
+        The node keeps sigmoid(x @ w_gate), its silu and x @ w_up for the
+        backward and recomputes their product there; the composed ops keep
+        five arrays of that width.
+        """
+        x = _rows(self.data)
+        a = x @ w_gate.data
+        u = x @ w_up.data
+        # sigmoid in one buffer: exp overflows for very negative inputs, and
+        # 1 / (1 + inf) = 0 is the correct limit
+        s = np.negative(a)
+        with np.errstate(over="ignore"):
+            np.exp(s, out=s)
+        s += 1.0
+        np.divide(1.0, s, out=s)
+        silu = np.multiply(a, s, out=a)
+        out_data = ((silu * u) @ w_down.data).reshape(self.shape[:-1] + w_down.shape[-1:])
+
+        def backward(g):
+            g = _rows(g)
+            d_up = g @ w_down.data.T
+            d_gate = d_up * u
+            d_up *= silu
+            # d silu(a) / da = s + silu(a) * (1 - s)
+            d_silu = 1.0 - s
+            d_silu *= silu
+            d_silu += s
+            d_gate *= d_silu
+            gx = np.empty(self.shape, dtype=self.dtype)  # written through its rows
+            gx_rows = _rows(gx)
+            np.matmul(d_gate, w_gate.data.T, out=gx_rows)
+            gx_rows += d_up @ w_up.data.T
+            return gx, x.T @ d_gate, x.T @ d_up, (silu * u).T @ g
+
+        return self._make(out_data, (self, w_gate, w_up, w_down), backward)
+
     def logsumexp_last(self):
         m = self.data.max(axis=-1, keepdims=True)
         e = np.exp(self.data - m)
@@ -450,6 +496,37 @@ class Tensor:
                     parent.grad = grad.copy() if grad.base is not None else grad
                 else:
                     parent.grad = parent.grad + grad
+
+
+def mix(weights: Tensor, outs) -> Tensor:
+    """Sum of weights[..., j:j+1] * outs[j], added in order j = 0, 1, ...: the
+    gate-weighted sum of expert outputs, as one node.
+
+    Value and gradients are those of the slice, multiply and add ops it
+    replaces; their gate gradient differs from this one only by the exact
+    zeros each slice adds outside its column. `outs` is consumed one item at
+    a time, so without a tape a generator's outputs are freed once added.
+    """
+    w = weights.data
+    recording = _recording.get()
+    kept, out_data = [], None
+    for j, out in enumerate(outs):
+        term = w[..., j : j + 1] * out.data
+        if out_data is None:
+            out_data = term
+        else:
+            out_data += term
+        if recording:
+            kept.append(out)
+    outs = kept
+
+    def backward(g):
+        gw = np.zeros_like(w)
+        for j, out in enumerate(outs):
+            gw[..., j] = (g * out.data).sum(axis=-1)
+        return (gw, *(g * w[..., j : j + 1] for j in range(len(outs))))
+
+    return weights._make(out_data, (weights, *outs), backward)
 
 
 def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:

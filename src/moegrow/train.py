@@ -158,14 +158,28 @@ def train(ckpt: Checkpoint, dataset, cfg: TrainConfig, eval_data=None,
         bc1 = 1.0 - cfg.beta1**t
         bc2 = 1.0 - cfg.beta2**t
         for name in names:
-            g = graph.params[name].grad
-            m[name] = cfg.beta1 * m[name] + (1.0 - cfg.beta1) * g
-            v[name] = cfg.beta2 * v[name] + (1.0 - cfg.beta2) * g * g
-            m_hat = m[name] / bc1
-            v_hat = v[name] / bc2
-            params[name] = params[name] - lr * (
-                m_hat / (np.sqrt(v_hat) + cfg.adam_eps) + cfg.weight_decay * params[name]
-            )
+            # in place, in the order of
+            #   m = beta1 * m + (1 - beta1) * g
+            #   v = beta2 * v + (1 - beta2) * g * g
+            #   p = p - lr * (m / bc1 / (sqrt(v / bc2) + eps) + weight_decay * p)
+            # so the values are bitwise those of the expressions
+            g, mn, vn, pn = graph.params[name].grad, m[name], v[name], params[name]
+            upd = np.multiply(g, 1.0 - cfg.beta1)
+            mn *= cfg.beta1
+            mn += upd
+            np.multiply(g, 1.0 - cfg.beta2, out=upd)
+            upd *= g
+            vn *= cfg.beta2
+            vn += upd
+            denom = np.divide(vn, bc2)
+            np.sqrt(denom, out=denom)
+            denom += cfg.adam_eps
+            np.divide(mn, bc1, out=upd)
+            upd /= denom
+            np.multiply(pn, cfg.weight_decay, out=denom)
+            upd += denom
+            upd *= lr
+            pn -= upd
 
         row = MetricRow(
             step=step,

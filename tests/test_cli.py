@@ -266,6 +266,8 @@ def _model_string_bias(ws):
 
 
 EVAL = ["eval", "--in", "{ws}/dense", "--data", "{ws}/data.u32"]
+INIT = ["init", "--config", "{ws}/config.json", "--seed", "0", "--out", "{ws}/x"]
+VERIFY = ["verify", "--src", "{ws}/dense", "--dst", "{ws}/dense"]
 TRAIN = ["train", "--in", "{ws}/dense", "--data", "{ws}/data.u32", "--config", "{ws}/train.json",
          "--out", "{ws}/x"]
 
@@ -290,11 +292,20 @@ TRAIN = ["train", "--in", "{ws}/dense", "--data", "{ws}/data.u32", "--config", "
     (TRAIN, _train_config(total_steps=2.5), 1),
     (["init", "--config", "{ws}/bias.json", "--seed", "0", "--out", "{ws}/x"], _model_string_bias, 1),
     (TRAIN + ["--eval-data", "{ws}/data.u32", "--eval-every", "0"], _train_config(), 1),
+    (INIT + ["--init-std", "-1"], None, 1),
+    (INIT + ["--init-std", "nan"], None, 1),
+    (INIT + ["--init-std", "inf"], None, 1),
+    (VERIFY + ["--tol", "nan"], None, 1),
+    (VERIFY + ["--tol=-1e-5"], None, 1),
+    (VERIFY + ["--probe-len", "0"], None, 1),
+    (VERIFY + ["--probe-len", "1"], None, 1),
 ], ids=["header-list", "config-list", "moe-list", "missing-tokens", "partial-token",
         "config-from-another-save", "train-config-list", "plan-number", "synth-seed-negative",
         "init-seed-negative", "upcycle-seed-negative", "verify-seed-negative",
         "train-seed-negative", "train-seed-float", "train-seed-bool", "train-steps-float",
-        "model-bias-string", "eval-every-zero"])
+        "model-bias-string", "eval-every-zero", "init-std-negative", "init-std-nan",
+        "init-std-inf", "verify-tol-nan", "verify-tol-negative", "verify-probe-len-0",
+        "verify-probe-len-1"])
 def test_malformed_input_exits_with_an_error_line(workspace, capsys, argv, break_input, code):
     run(["init", "--config", workspace / "config.json", "--seed", 0, "--out", workspace / "dense"])
     save_tokens(workspace / "data.u32", np.arange(40) % 16)
@@ -306,3 +317,17 @@ def test_malformed_input_exits_with_an_error_line(workspace, capsys, argv, break
     assert run([a.format(ws=workspace) for a in argv]) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("devices", "many", "phase 'scale-up': devices must be an integer, got 'many'"),
+    ("tokens_per_day_B", 0, "phase 'scale-up': tokens_per_day_B must be > 0, got 0"),
+    ("name", 7, "phase: name must be a string, got 7"),
+])
+def test_a_bad_phase_field_exits_one_naming_the_phase(workspace, capsys, field, value, message):
+    good = {"name": "scale-up", "devices": 8, "gflops_per_device": 240.0, "model_size_B": 16.0,
+            "trained_tokens_B": 100.0, "tokens_per_day_B": 25.0}
+    plan = workspace / "plan.json"
+    plan.write_text(json.dumps({"phases": [dict(good, **{field: value})], "baseline": good}))
+    assert run(["savings", "--plan", plan]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"

@@ -209,6 +209,13 @@ def test_a_field_of_the_wrong_type_is_named(kind, field, value):
         dataclasses.replace(RECORDS[kind], **{field: value})
 
 
+def test_a_wrong_typed_phase_field_names_the_phase():
+    with pytest.raises(ValidationError, match=r"^phase 'scale-up': devices must be an integer"):
+        dataclasses.replace(RECORDS["phase"], devices="many")
+    with pytest.raises(ValidationError, match=r"^phase: name must be a string, got 5$"):
+        dataclasses.replace(RECORDS["phase"], name=5)
+
+
 def test_json_numbers_fill_float_fields_unchanged():
     cfg = TrainConfig.from_dict({"lr": 0, "weight_decay": 1})
     assert cfg.lr == 0 and type(cfg.lr) is int

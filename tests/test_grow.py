@@ -541,6 +541,15 @@ def test_verify_preservation_rejects_vocab_mismatch(micro_ckpt, micro_config):
         verify_preservation(micro_ckpt, other)
 
 
+@pytest.mark.parametrize("kwargs", [{"tol": float("nan")}, {"tol": -1e-5}, {"probe_len": 0},
+                                    {"probe_len": 1}], ids=repr)
+def test_verify_preservation_rejects_a_bad_tol_or_probe_len(micro_ckpt, kwargs):
+    with pytest.raises(ValidationError, match=next(iter(kwargs))):
+        verify_preservation(micro_ckpt, micro_ckpt, **kwargs)
+    # the edges that stay valid: a zero tolerance and the shortest probe
+    assert verify_preservation(micro_ckpt, micro_ckpt, tol=0.0, probe_len=2).passed
+
+
 @pytest.mark.parametrize("routed", [False, True])
 def test_verify_preservation_reports_what_taped_graphs_give(micro_ckpt, micro_config,
                                                             moe_small, routed):

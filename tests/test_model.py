@@ -5,6 +5,7 @@ import pytest
 
 from moegrow import (
     ModelConfig,
+    MoEConfig,
     TrainingDiverged,
     ValidationError,
     backward,
@@ -279,13 +280,13 @@ def test_broadcast_gqa_equals_the_gathered_heads_reference(kv_groups, heads_per_
                                    err_msg=name)
 
 
-def test_a_dense_step_at_the_grown_benchmark_config_records_few_nodes():
-    # 4 layers, hidden 64, 8 heads in 2 KV groups, a 16 x 32 token batch;
-    # composed from elementary ops the same step records 241 op nodes
-    cfg = ModelConfig(n_layers=4, hidden_dim=64, n_heads=8, head_dim=8, kv_groups=2,
-                      intermediate_dim=128, vocab_size=256, context_length=64)
-    toks = np.random.default_rng(0).integers(0, 256, size=(16, 33))
-    graph = build_graph(random_init(cfg, seed=0), toks)
+# 4 layers, hidden 64, 8 heads in 2 KV groups, a 16 x 32 token batch
+BENCH_CONFIG = ModelConfig(n_layers=4, hidden_dim=64, n_heads=8, head_dim=8, kv_groups=2,
+                           intermediate_dim=128, vocab_size=256, context_length=64)
+
+
+def op_nodes(graph):
+    """Tape nodes with a backward reachable from the objective."""
     ops, seen, stack = 0, set(), [graph.objective]
     while stack:
         node = stack.pop()
@@ -293,9 +294,38 @@ def test_a_dense_step_at_the_grown_benchmark_config_records_few_nodes():
             seen.add(id(node))
             ops += node._backward is not None
             stack.extend(node._parents)
-    assert ops <= 140
+    return ops
+
+
+def test_a_dense_step_at_the_grown_benchmark_config_records_few_nodes():
+    # composed from elementary ops the same step records 241 op nodes
+    toks = np.random.default_rng(0).integers(0, 256, size=(16, 33))
+    graph = build_graph(random_init(BENCH_CONFIG, seed=0), toks)
+    assert op_nodes(graph) <= 140
     graph.objective.backward()
     assert all(leaf.grad is not None for leaf in graph.params.values())
+
+
+def test_a_routed_step_at_the_benchmark_config_records_few_nodes():
+    # 8 experts, top-2; with the gated MLP and the expert mix composed from
+    # elementary ops the same step records 468 op nodes
+    toks = np.random.default_rng(0).integers(0, 256, size=(16, 33))
+    routed = upcycle(random_init(BENCH_CONFIG, seed=0), MoEConfig(), seed=1)
+    graph = build_graph(routed, toks)
+    assert op_nodes(graph) <= 230
+    graph.objective.backward()
+    assert all(leaf.grad is not None for leaf in graph.params.values())
+
+
+@pytest.mark.parametrize("init_std", [-0.02, float("nan"), float("inf")])
+def test_random_init_rejects_a_bad_init_std(micro_config, init_std):
+    with pytest.raises(ValidationError, match="init_std"):
+        random_init(micro_config, seed=0, init_std=init_std)
+
+
+def test_random_init_with_zero_std_gives_zero_weights(micro_config):
+    ckpt = random_init(micro_config, seed=0, init_std=0.0)
+    assert not ckpt.tensors["layers.0.attn.wq"].any()
 
 
 def test_no_bias_config_runs(micro_config):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moegrow.tensor import Tensor, _set_madvise_hugepage, concat, no_huge_pages, no_tape
+from moegrow.tensor import Tensor, _set_madvise_hugepage, concat, mix, no_huge_pages, no_tape
 
 RNG = np.random.default_rng(7)
 
@@ -96,6 +96,14 @@ def test_matmul_batched_shared_weight():
     a = RNG.normal(size=(2, 3, 4))
     b = RNG.normal(size=(4, 5))
     check_grads(lambda x, y: weighted(x @ y), [a, b])
+
+
+@pytest.mark.parametrize("lead", [(1, 1), (2, 3), (3, 1, 5), (16, 33)])
+def test_shared_weight_matmul_is_one_gemm_over_the_flattened_rows(lead):
+    a = RNG.normal(size=lead + (7,)).astype(np.float32)
+    b = RNG.normal(size=(7, 5)).astype(np.float32)
+    expected = np.matmul(a.reshape(-1, 7), b).reshape(lead + (5,))
+    assert (Tensor(a) @ Tensor(b)).data.tobytes() == expected.tobytes()
 
 
 def test_matmul_batched_both():
@@ -247,6 +255,22 @@ def composed_causal_softmax(x, scale, mask):
     return (x * scale + mask).softmax_last()
 
 
+def composed_gated_mlp(x, w_gate, w_up, w_down):
+    return ((x @ w_gate).silu() * (x @ w_up)) @ w_down
+
+
+def composed_mix(weights, outs):
+    y = weights[..., 0:1] * outs[0]
+    for j in range(1, len(outs)):
+        y = y + weights[..., j : j + 1] * outs[j]
+    return y
+
+
+def mlp_weights(rng, width, inner, dtype=np.float64):
+    return [(rng.normal(size=shape) * 0.7).astype(dtype)
+            for shape in ((width, inner), (width, inner), (inner, width))]
+
+
 def causal_mask(seq, dtype=np.float64):
     return np.triu(np.full((seq, seq), -1e30, dtype=dtype), k=1)
 
@@ -279,6 +303,30 @@ def test_causal_softmax_grad():
     check_grads(lambda x: weighted(x.causal_softmax(0.5, mask), seed=16), [a], tol=1e-6)
 
 
+@pytest.mark.parametrize("lead", [(4,), (2, 3), (2, 1, 3)])
+def test_gated_mlp_grad(lead):
+    x = RNG.normal(size=lead + (5,)) * 2
+    check_grads(lambda x, wg, wu, wd: weighted(x.gated_mlp(wg, wu, wd), seed=18),
+                [x, *mlp_weights(RNG, 5, 6)], tol=1e-6)
+
+
+def test_gated_mlp_saturates_without_overflow_or_nan():
+    # exp(-a) overflows to inf for very negative a; silu there is -0.0
+    x = np.array([[-1e4, 1e4, 0.0]], dtype=np.float32)
+    eye = np.eye(3, dtype=np.float32)
+    out = Tensor(x).gated_mlp(Tensor(eye), Tensor(eye), Tensor(eye))
+    assert np.isfinite(out.data).all()
+    assert out.data.tobytes() == composed_gated_mlp(
+        Tensor(x), Tensor(eye), Tensor(eye), Tensor(eye)).data.tobytes()
+
+
+@pytest.mark.parametrize("n_out", [2, 3])
+def test_mix_grad(n_out):
+    w = RNG.normal(size=(2, 3, n_out))
+    outs = [RNG.normal(size=(2, 3, 4)) for _ in range(n_out)]
+    check_grads(lambda w, *outs: weighted(mix(w, list(outs)), seed=19), [w, *outs])
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     lead=st.lists(st.integers(1, 3), min_size=1, max_size=3),
@@ -301,6 +349,31 @@ def test_fused_ops_are_bitwise_the_composed_ops(lead, width, seed):
     mask, scale = causal_mask(width, np.float32), 1.0 / np.sqrt(width)
     fused = Tensor(scores).causal_softmax(scale, mask).data
     assert fused.tobytes() == composed_causal_softmax(Tensor(scores), scale, mask).data.tobytes()
+
+    # the gated MLP and the expert mix, in float32 for the forward bytes and in
+    # float64 for the gradients, which only sum in another order
+    inner = 1 + seed % 9
+    for dtype in (np.float32, np.float64):
+        args = [x.astype(dtype), *mlp_weights(rng, width, inner, dtype)]
+        gates = rng.uniform(size=tuple(lead) + (3,)).astype(dtype)
+        expert_outs = [rng.normal(size=shape).astype(dtype) for _ in range(3)]
+        sides = []
+        for apply_mlp, apply_mix in (
+            (lambda x, *w: x.gated_mlp(*w), mix), (composed_gated_mlp, composed_mix)
+        ):
+            leaves = [Tensor(a) for a in (*args, gates, *expert_outs)]
+            mlp_out = apply_mlp(*leaves[:4])
+            mix_out = apply_mix(leaves[4], leaves[5:])
+            weighted(mlp_out, seed=20).backward()
+            weighted(mix_out, seed=21).backward()
+            sides.append((mlp_out.data, mix_out.data, [t.grad for t in leaves]))
+        (fused_mlp, fused_mix, fused_grads), (plain_mlp, plain_mix, plain_grads) = sides
+        if dtype == np.float32:
+            assert fused_mlp.tobytes() == plain_mlp.tobytes()
+            assert fused_mix.tobytes() == plain_mix.tobytes()
+        else:
+            for got, want in zip(fused_grads, plain_grads):
+                np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
 
 
 def test_rmsnorm_duplication_identity_over_odd_widths():

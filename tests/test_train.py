@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from moegrow import (
+    Checkpoint,
     ModelConfig,
     MoEConfig,
     TrainConfig,
@@ -17,6 +18,7 @@ from moegrow import (
     train,
     upcycle,
 )
+from moegrow.model import build_graph
 from moegrow.train import MIN_LR_FRACTION, MetricLog, MetricRow, sample_batch
 
 
@@ -172,6 +174,40 @@ def test_moe_training_logs_aux_losses(micro_ckpt, moe_small, corpus):
         assert row.aux_loss is not None and row.aux_loss >= 0.9
         assert row.z_loss is not None and row.z_loss >= 0.0
     assert trained.moe == moe_small
+
+
+def test_routed_training_is_bitwise_a_reference_adamw_loop(micro_ckpt, moe_small, corpus):
+    # the update written as whole-array expressions; train() computes it in
+    # place and must give the same bits
+    sparse = upcycle(micro_ckpt, moe_small, seed=4)
+    data = corpus % 16
+    cfg = quick_cfg(total_steps=3, warmup_steps=1, weight_decay=0.1)
+    trained, _ = train(sparse, data, cfg)
+
+    params = {name: arr.astype(np.float32) for name, arr in sparse.tensors.items()}
+    m = {name: np.zeros_like(arr) for name, arr in params.items()}
+    v = {name: np.zeros_like(arr) for name, arr in params.items()}
+    rng = np.random.default_rng(cfg.seed)
+    for step in range(cfg.total_steps):
+        batch = sample_batch(rng, data, cfg.sequences_per_batch, cfg.seq_len)
+        live = Checkpoint(config=sparse.config, tensors=params, moe=sparse.moe)
+        graph = build_graph(live, batch)
+        graph.objective.backward()
+        lr = lr_schedule(cfg, step)
+        bc1 = 1.0 - cfg.beta1 ** (step + 1)
+        bc2 = 1.0 - cfg.beta2 ** (step + 1)
+        for name in sorted(params):
+            g = graph.params[name].grad
+            m[name] = cfg.beta1 * m[name] + (1.0 - cfg.beta1) * g
+            v[name] = cfg.beta2 * v[name] + (1.0 - cfg.beta2) * g * g
+            m_hat = m[name] / bc1
+            v_hat = v[name] / bc2
+            params[name] = params[name] - lr * (
+                m_hat / (np.sqrt(v_hat) + cfg.adam_eps) + cfg.weight_decay * params[name]
+            )
+    for name, arr in params.items():
+        assert trained.tensors[name].tobytes() == arr.tobytes(), name
+    assert any(trained.tensors[n].tobytes() != sparse.tensors[n].tobytes() for n in params)
 
 
 def test_dense_training_leaves_aux_empty(micro_ckpt, corpus):
