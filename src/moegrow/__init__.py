@@ -39,11 +39,9 @@ from .grow import (
 from .model import ForwardTrace, backward, build_graph, eval_loss, forward, random_init
 from .moe import (
     RoutingStats,
-    combine_stats,
     load_balance_loss,
     max_z_loss,
     moe_total_loss,
-    route,
     top_k_indices,
     upcycle,
 )
@@ -80,7 +78,6 @@ __all__ = [
     "build_graph",
     "build_grouped_head_map",
     "build_width_map",
-    "combine_stats",
     "count_config_params",
     "count_params",
     "depth_source_indices",
@@ -102,7 +99,6 @@ __all__ = [
     "no_tape",
     "power_savings_factor",
     "random_init",
-    "route",
     "save_checkpoint",
     "save_tokens",
     "savings_report",

@@ -191,18 +191,15 @@ class ParamCount:
 
 
 def count_params(ckpt: Checkpoint) -> ParamCount:
-    """Total and per-token-activated parameter counts of a checkpoint."""
-    sizes = {name: arr.size for name, arr in ckpt.tensors.items()}
-    return _count(sizes, ckpt.moe)
+    """Total and per-token-activated parameter counts of a checkpoint, which
+    must hold every tensor its config implies."""
+    ckpt.validate()
+    return count_config_params(ckpt.config, ckpt.moe)
 
 
 def count_config_params(config: ModelConfig, moe: MoEConfig | None = None) -> ParamCount:
     """Parameter counts implied by a config, without materializing tensors."""
     sizes = {name: math.prod(shape) for name, shape in tensor_shapes(config, moe).items()}
-    return _count(sizes, moe)
-
-
-def _count(sizes: dict[str, int], moe: MoEConfig | None) -> ParamCount:
     total = sum(sizes.values())
     if moe is None:
         return ParamCount(total=total, activated=total)

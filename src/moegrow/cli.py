@@ -10,6 +10,7 @@ failed verification, 2 I/O error. Every source of randomness is an explicit
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -50,7 +51,7 @@ def cmd_init(args) -> tuple[int, dict]:
 
 def cmd_grow(args) -> tuple[int, dict]:
     ckpt = load_checkpoint(args.input)
-    plan = GrowthPlan.from_json(_read_text(args.plan))
+    plan = GrowthPlan.from_dict(_read_json(args.plan))
     grown = scale_up(ckpt, plan)
     save_checkpoint(grown, args.out)
     counts = count_params(grown)
@@ -102,14 +103,7 @@ def cmd_verify(args) -> tuple[int, dict]:
         f"(tol {report.tol:.1e}), loss diff {report.loss_diff:.3e}, "
         f"{report.n_probes} probes"
     )
-    doc = {
-        "max_abs_logit_diff": report.max_abs_logit_diff,
-        "loss_diff": report.loss_diff,
-        "passed": report.passed,
-        "n_probes": report.n_probes,
-        "tol": report.tol,
-    }
-    return (0 if report.passed else 1), doc
+    return (0 if report.passed else 1), dataclasses.asdict(report)
 
 
 def cmd_train(args) -> tuple[int, dict]:

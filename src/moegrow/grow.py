@@ -18,7 +18,6 @@ scale_up composes width-then-depth.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -261,14 +260,6 @@ class GrowthPlan(Record):
             self.target_config, n_layers=self.source_config.n_layers
         )
         _check_width_growth(self.source_config, width_target)
-
-    @classmethod
-    def from_json(cls, text: str) -> "GrowthPlan":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"unparseable growth plan: {exc}") from exc
-        return cls.from_dict(data)
 
 
 def scale_up(ckpt: Checkpoint, plan: GrowthPlan) -> Checkpoint:

@@ -18,12 +18,13 @@ import numpy as np
 from .checkpoint import Checkpoint, tensor_shapes
 from .config import ModelConfig, check_seed
 from .errors import TrainingDiverged, ValidationError
-from .moe import load_balance_term, route_batch, z_term
+from .moe import load_balance_term, moe_total_loss, route_batch, z_term
 from .tensor import Tensor, mix, no_huge_pages, no_tape
 
 ROTARY_BASE = 10000.0
 NORM_EPS = 1e-5
 MASK_VALUE = -1e30
+EVAL_CHUNK_TOKENS = 1056  # tokens per untaped eval_loss chunk (see eval_loss)
 
 
 @dataclass(frozen=True)
@@ -83,10 +84,6 @@ def _rotary_tables(seq_len: int, head_dim: int, dtype) -> tuple[np.ndarray, np.n
     return cos, sin
 
 
-def _rmsnorm(x: Tensor, gain: Tensor) -> Tensor:
-    return x.rmsnorm(gain, NORM_EPS)
-
-
 def _gated_mlp(h: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
     return h.gated_mlp(params[f"{prefix}.w_gate"], params[f"{prefix}.w_up"],
                        params[f"{prefix}.w_down"])
@@ -140,7 +137,7 @@ def build_graph(ckpt: Checkpoint, tokens, dtype=np.float32) -> ModelGraph:
     x = params["embed"].gather(tokens.reshape(-1), axis=0).reshape(batch, seq, cfg.hidden_dim)
     for i in range(cfg.n_layers):
         p = f"layers.{i}"
-        hn = _rmsnorm(x, params[f"{p}.attn_norm"])
+        hn = x.rmsnorm(params[f"{p}.attn_norm"], NORM_EPS)
         q = hn @ params[f"{p}.attn.wq"]
         k = hn @ params[f"{p}.attn.wk"]
         v = hn @ params[f"{p}.attn.wv"]
@@ -155,7 +152,7 @@ def build_graph(ckpt: Checkpoint, tokens, dtype=np.float32) -> ModelGraph:
         ctx = (probs @ v).transpose((0, 3, 1, 2, 4)).reshape(batch, seq, cfg.q_dim)
         x = x + ctx @ params[f"{p}.attn.wo"]
 
-        hn = _rmsnorm(x, params[f"{p}.mlp_norm"])
+        hn = x.rmsnorm(params[f"{p}.mlp_norm"], NORM_EPS)
         if ckpt.moe is not None:
             router_logits = hn @ params[f"{p}.moe.router"]
             probs = router_logits.softmax_last()
@@ -168,7 +165,7 @@ def build_graph(ckpt: Checkpoint, tokens, dtype=np.float32) -> ModelGraph:
         else:
             x = x + _gated_mlp(hn, params, f"{p}.mlp")
 
-    xn = _rmsnorm(x, params["final_norm"])
+    xn = x.rmsnorm(params["final_norm"], NORM_EPS)
     logits = xn @ params["unembed"]
 
     ce = loss = aux = z = objective = None
@@ -179,7 +176,7 @@ def build_graph(ckpt: Checkpoint, tokens, dtype=np.float32) -> ModelGraph:
         if aux_terms:
             aux = sum(aux_terms[1:], aux_terms[0]) * (1.0 / len(aux_terms))
             z = sum(z_terms[1:], z_terms[0]) * (1.0 / len(z_terms))
-            objective = loss + ckpt.moe.aux_coeff * aux + ckpt.moe.z_coeff * z
+            objective = moe_total_loss(loss, aux, z, ckpt.moe)
     return ModelGraph(
         params=params,
         logits=logits,
@@ -215,19 +212,19 @@ def forward(ckpt: Checkpoint, tokens, dtype=np.float32) -> ForwardTrace:
     )
 
 
-def eval_loss(ckpt: Checkpoint, dataset, seq_len: int, dtype=np.float32,
-              max_chunk_tokens: int = 1056) -> float:
+def eval_loss(ckpt: Checkpoint, dataset, seq_len: int, dtype=np.float32) -> float:
     """Mean next-token cross entropy over non-overlapping windows.
 
     Each window consumes seq_len+1 consecutive tokens (seq_len inputs plus
     the final target); trailing tokens that do not fill a window are dropped.
     Windows are forwarded without a tape, in chunks of at most
-    max_chunk_tokens tokens; every window predicts the same number of
-    tokens, so the overall mean is the window-weighted mean of the chunk
-    means.
+    EVAL_CHUNK_TOKENS tokens (one window if a window is longer); every
+    window predicts the same number of tokens, so the overall mean is the
+    window-weighted mean of the chunk means.
 
-    The default, 32 windows of 33 tokens, keeps a chunk's arrays small
-    enough for the allocator to reuse the same memory from chunk to chunk.
+    EVAL_CHUNK_TOKENS, 32 windows of 33 tokens, keeps a chunk's arrays
+    small enough for the allocator to reuse the same memory from chunk to
+    chunk.
     The arrays of 4096-token chunks are handed back to the kernel and
     faulted in again each time: over 160 windows of 33 tokens, a dense
     4-layer hidden-64 model takes about 15k page faults per call and its
@@ -245,7 +242,7 @@ def eval_loss(ckpt: Checkpoint, dataset, seq_len: int, dtype=np.float32,
             f"dataset has {dataset.size} tokens, need at least {window} for one window"
         )
     batch = dataset[: n_windows * window].reshape(n_windows, window)
-    per_chunk = max(1, max_chunk_tokens // window)
+    per_chunk = max(1, EVAL_CHUNK_TOKENS // window)
     total = 0.0
     with no_tape():
         for start in range(0, n_windows, per_chunk):

@@ -53,35 +53,6 @@ def route_batch(probs: Tensor, moe: MoEConfig) -> tuple[Tensor, np.ndarray]:
     return gates.scatter_last(idx, probs.shape[-1]), idx
 
 
-def route(x: np.ndarray, router: np.ndarray, moe: MoEConfig) -> tuple[np.ndarray, np.ndarray, RoutingStats]:
-    """Route a single hidden vector: (expert indices, gates, stats contribution)."""
-    logits = np.asarray(x) @ np.asarray(router)
-    if not np.all(np.isfinite(logits)):
-        raise ValidationError("non-finite router logits")
-    shifted = logits - logits.max()
-    e = np.exp(shifted)
-    probs = e / e.sum()
-    idx = top_k_indices(probs, moe.top_k)
-    gates = probs[idx]
-    if moe.renormalize_gates:
-        gates = gates / gates.sum()
-    f = np.zeros(len(probs))
-    np.add.at(f, idx, 1.0 / moe.top_k)
-    z = np.asarray([logits.max() + np.log(e.sum())])
-    return idx, gates, RoutingStats(f=f, P=probs, z=z)
-
-
-def combine_stats(parts: list[RoutingStats]) -> RoutingStats:
-    """Average per-token stats contributions into batch-level statistics."""
-    if not parts:
-        raise ValidationError("no routing stats to combine")
-    return RoutingStats(
-        f=np.mean([p.f for p in parts], axis=0),
-        P=np.mean([p.P for p in parts], axis=0),
-        z=np.concatenate([p.z for p in parts]),
-    )
-
-
 def load_balance_loss(stats: RoutingStats, n_experts: int) -> float:
     """N times the dot product of assignment fractions and mean probabilities.
 
@@ -96,8 +67,10 @@ def max_z_loss(z: np.ndarray) -> float:
     return float(np.mean(np.square(np.asarray(z))))
 
 
-def moe_total_loss(ce: float, aux: float, z: float, cfg: MoEConfig) -> float:
-    """Combined training objective: ce + aux_coeff*aux + z_coeff*z."""
+def moe_total_loss(ce: float | Tensor, aux: float | Tensor, z: float | Tensor,
+                   cfg: MoEConfig) -> float | Tensor:
+    """Combined training objective: ce + aux_coeff*aux + z_coeff*z, of floats
+    or of tape scalars."""
     return ce + cfg.aux_coeff * aux + cfg.z_coeff * z
 
 
@@ -123,12 +96,11 @@ def z_term(router_logits: Tensor) -> Tensor:
 def upcycle(dense: Checkpoint, moe_cfg: MoEConfig, seed: int) -> Checkpoint:
     """Scale out a dense checkpoint into an n-expert mixture.
 
-    Every block's MLP tensors are replicated bitwise into n_experts expert
-    parameter sets; a per-layer router is drawn from a zero-mean normal with
-    standard deviation moe_cfg.router_init_std. All other tensors are the
-    frozen dense input's own arrays, shared. The experts of a layer share one
-    private read-only copy of each dense MLP tensor: the output is frozen, and
-    training copies what it updates.
+    Every block's MLP tensors become n_experts expert parameter sets; a
+    per-layer router is drawn from a zero-mean normal with standard deviation
+    moe_cfg.router_init_std. Every tensor but the routers is the frozen dense
+    input's own read-only array, shared: the experts of a layer all hold the
+    dense MLP's arrays, and training copies what it updates.
     """
     if dense.moe is not None:
         raise ValidationError("checkpoint already has routed expert layers")
@@ -136,16 +108,12 @@ def upcycle(dense: Checkpoint, moe_cfg: MoEConfig, seed: int) -> Checkpoint:
     cfg = dense.config
     rng = np.random.default_rng(check_seed(seed))
     tensors: dict[str, np.ndarray] = {}
-    shared: dict[str, np.ndarray] = {}  # dense MLP tensor name -> the experts' copy
     for name, shape in tensor_shapes(cfg, moe_cfg).items():
         layer, is_expert, role = name.partition(".moe.expert.")
         if name.endswith(".moe.router"):
             tensors[name] = rng.normal(0.0, moe_cfg.router_init_std, shape).astype(np.float32)
         elif is_expert:  # role is "{j}.{mlp role}"
-            source = f"{layer}.mlp.{role.split('.', 1)[1]}"
-            if source not in shared:
-                shared[source] = dense.tensors[source].copy()
-            tensors[name] = shared[source]
+            tensors[name] = dense.tensors[f"{layer}.mlp.{role.split('.', 1)[1]}"]
         else:
             tensors[name] = dense.tensors[name]
     return Checkpoint(config=cfg, tensors=tensors, moe=moe_cfg).freeze()

@@ -8,7 +8,6 @@ applies updates tensor by tensor in sorted name order.
 from __future__ import annotations
 
 import dataclasses
-import io
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -91,20 +90,17 @@ class MetricRow:
 class MetricLog:
     rows: list[MetricRow] = field(default_factory=list)
 
-    CSV_HEADER = "step,train_loss,lr,eval_loss,aux_loss,z_loss"
-
     def to_csv(self) -> str:
-        def cell(v) -> str:
-            return "" if v is None else repr(float(v))
+        """One header line of MetricRow's field names, then one line per row;
+        the step as an integer, other values as repr(float), None empty."""
+        names = [f.name for f in dataclasses.fields(MetricRow)]
 
-        buf = io.StringIO()
-        buf.write(self.CSV_HEADER + "\n")
-        for r in self.rows:
-            buf.write(
-                f"{r.step},{cell(r.train_loss)},{cell(r.lr)},"
-                f"{cell(r.eval_loss)},{cell(r.aux_loss)},{cell(r.z_loss)}\n"
-            )
-        return buf.getvalue()
+        def cell(name: str, v) -> str:
+            return "" if v is None else str(v) if name == "step" else repr(float(v))
+
+        lines = [",".join(names)]
+        lines += [",".join(cell(n, getattr(r, n)) for n in names) for r in self.rows]
+        return "".join(line + "\n" for line in lines)
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(self.to_csv(), encoding="utf-8")
@@ -144,9 +140,11 @@ def train(ckpt: Checkpoint, dataset, cfg: TrainConfig, eval_data=None,
     rng = np.random.default_rng(cfg.seed)
     log = MetricLog()
 
+    # the optimizer updates params in place, so this one unfrozen checkpoint
+    # always holds the current weights
+    live = Checkpoint(config=ckpt.config, tensors=params, moe=ckpt.moe)
     for step in range(cfg.total_steps):
         batch = sample_batch(rng, dataset, cfg.sequences_per_batch, cfg.seq_len)
-        live = Checkpoint(config=ckpt.config, tensors=params, moe=ckpt.moe)
         graph = build_graph(live, batch, dtype=np.float32)
         objective = float(graph.objective.data)
         if not math.isfinite(objective):
@@ -190,13 +188,12 @@ def train(ckpt: Checkpoint, dataset, cfg: TrainConfig, eval_data=None,
             z_loss=float(graph.z.data) if graph.z is not None else None,
         )
         if eval_data is not None and (step % eval_every == 0 or step == cfg.total_steps - 1):
-            live = Checkpoint(config=ckpt.config, tensors=params, moe=ckpt.moe)
             row = dataclasses.replace(
                 row, eval_loss=eval_loss(live, eval_data, cfg.seq_len)
             )
         log.rows.append(row)
 
-    return Checkpoint(config=ckpt.config, tensors=params, moe=ckpt.moe).freeze(), log
+    return live.freeze(), log
 
 
 def grad_check(config: ModelConfig, seed: int = 0, eps: float = 1e-5,

@@ -249,12 +249,14 @@ def first_crossing(log, threshold: float):
     return None
 
 
-def test_06_grown_model_converges_in_fewer_steps(toy_config, trained_sources,
-                                                 split_corpus):
+@pytest.fixture(scope="module")
+def target_runs(toy_config, trained_sources, split_corpus):
+    """Per seed, the eval logs of the FPI/interpolate-grown target and of a
+    fresh one, trained alike; and the seconds the six runs took."""
     start = time.perf_counter()
     train_data, held_out = split_corpus
     target = target_config(toy_config)
-    crossings = []
+    logs = {}
     for seed, source in trained_sources.items():
         plan = GrowthPlan(method="fpi", depth_mode="interpolate",
                           source_config=toy_config, target_config=target)
@@ -263,11 +265,17 @@ def test_06_grown_model_converges_in_fewer_steps(toy_config, trained_sources,
         cfg = TrainConfig(seed=seed, **TARGET_TRAIN)
         _, grown_log = train(grown, train_data, cfg, eval_data=held_out, eval_every=5)
         _, fresh_log = train(fresh, train_data, cfg, eval_data=held_out, eval_every=5)
-        crossings.append(
-            (seed, first_crossing(grown_log, EVAL_THRESHOLD),
-             first_crossing(fresh_log, EVAL_THRESHOLD))
-        )
-    elapsed = time.perf_counter() - start
+        logs[seed] = (grown_log, fresh_log)
+    return logs, time.perf_counter() - start
+
+
+def test_06_grown_model_converges_in_fewer_steps(target_runs):
+    logs, elapsed = target_runs
+    crossings = [
+        (seed, first_crossing(grown_log, EVAL_THRESHOLD),
+         first_crossing(fresh_log, EVAL_THRESHOLD))
+        for seed, (grown_log, fresh_log) in logs.items()
+    ]
     strictly_faster = all(
         g is not None and (f is None or g < f) for _, g, f in crossings
     )
@@ -278,6 +286,28 @@ def test_06_grown_model_converges_in_fewer_steps(toy_config, trained_sources,
     report(6, f"grown model reaches eval {EVAL_THRESHOLD} first", ok, detail, elapsed)
     assert strictly_faster, crossings
     assert elapsed < 600.0
+
+
+def test_06b_training_lowers_the_grown_models_loss_below_a_fresh_ones(target_runs):
+    # [6] holds at step 0, before any update; this needs the training itself:
+    # on every seed the grown model ends below where it started and below the
+    # fresh model's end
+    start = time.perf_counter()
+    logs, _ = target_runs
+    ends = {}
+    for seed, (grown_log, fresh_log) in logs.items():
+        grown, fresh = grown_log.eval_series(), fresh_log.eval_series()
+        ends[seed] = (grown[0][1], grown[-1][1], fresh[-1][1])
+    ok = all(last < first and last < fresh for first, last, fresh in ends.values())
+    detail = "; ".join(
+        f"seed {s}: grown {first:.3f} -> {last:.3f}, fresh -> {fresh:.3f}"
+        for s, (first, last, fresh) in ends.items()
+    )
+    report(6, "training lowers the grown model's loss below a fresh one's", ok, detail,
+           time.perf_counter() - start)
+    for seed, (first, last, fresh) in ends.items():
+        assert last < first, (seed, first, last)
+        assert last < fresh, (seed, last, fresh)
 
 
 # -- criterion 7: provenance of symmetry-breaking growth ------------------------

@@ -315,6 +315,14 @@ def test_count_equals_sum_of_array_sizes(micro_ckpt):
     )
 
 
+def test_count_rejects_a_checkpoint_missing_a_tensor(micro_ckpt):
+    tensors = dict(micro_ckpt.tensors)
+    del tensors["layers.1.mlp.w_up"]
+    broken = Checkpoint(config=micro_ckpt.config, tensors=tensors)
+    with pytest.raises(ValidationError, match="layers.1.mlp.w_up"):
+        count_params(broken)
+
+
 BIG = ModelConfig(
     n_layers=40, hidden_dim=5120, n_heads=40, head_dim=128, kv_groups=8,
     intermediate_dim=20480, vocab_size=100000, qkv_bias=True,

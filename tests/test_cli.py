@@ -282,6 +282,7 @@ TRAIN = ["train", "--in", "{ws}/dense", "--data", "{ws}/data.u32", "--config", "
     (["train", "--in", "{ws}/dense", "--data", "{ws}/data.u32", "--config", "{ws}/list.json",
       "--out", "{ws}/x"], None, 1),
     (["grow", "--in", "{ws}/dense", "--plan", "{ws}/number.json", "--out", "{ws}/x"], None, 1),
+    (["grow", "--in", "{ws}/dense", "--plan", "{ws}/broken.json", "--out", "{ws}/x"], None, 1),
     (["synth", "--seed", "-1", "--vocab", "16", "--tokens", "100", "--out", "{ws}/x.u32"], None, 1),
     (["init", "--config", "{ws}/config.json", "--seed", "-3", "--out", "{ws}/x"], None, 1),
     (["upcycle", "--in", "{ws}/dense", "--seed", "-2", "--out", "{ws}/x"], None, 1),
@@ -300,8 +301,8 @@ TRAIN = ["train", "--in", "{ws}/dense", "--data", "{ws}/data.u32", "--config", "
     (VERIFY + ["--probe-len", "0"], None, 1),
     (VERIFY + ["--probe-len", "1"], None, 1),
 ], ids=["header-list", "config-list", "moe-list", "missing-tokens", "partial-token",
-        "config-from-another-save", "train-config-list", "plan-number", "synth-seed-negative",
-        "init-seed-negative", "upcycle-seed-negative", "verify-seed-negative",
+        "config-from-another-save", "train-config-list", "plan-number", "plan-not-json",
+        "synth-seed-negative", "init-seed-negative", "upcycle-seed-negative", "verify-seed-negative",
         "train-seed-negative", "train-seed-float", "train-seed-bool", "train-steps-float",
         "model-bias-string", "eval-every-zero", "init-std-negative", "init-std-nan",
         "init-std-inf", "verify-tol-nan", "verify-tol-negative", "verify-probe-len-0",
@@ -311,12 +312,14 @@ def test_malformed_input_exits_with_an_error_line(workspace, capsys, argv, break
     save_tokens(workspace / "data.u32", np.arange(40) % 16)
     (workspace / "list.json").write_text("[]")
     (workspace / "number.json").write_text("5")
+    (workspace / "broken.json").write_text("{not json")
     if break_input is not None:
         break_input(workspace)
     capsys.readouterr()
     assert run([a.format(ws=workspace) for a in argv]) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("field, value, message", [

@@ -15,7 +15,7 @@ from moegrow import (
     upcycle,
 )
 from moegrow import model as model_module
-from moegrow.model import MASK_VALUE, NORM_EPS, _rotary_tables, build_graph
+from moegrow.model import EVAL_CHUNK_TOKENS, MASK_VALUE, NORM_EPS, _rotary_tables, build_graph
 from moegrow.tensor import Tensor, _set_madvise_hugepage, concat
 
 
@@ -204,16 +204,12 @@ def test_rmsnorm_width_duplication_is_exact(micro_ckpt, micro_config):
     # Doubling every channel (and the gain) leaves the normalized output of
     # each original channel bitwise unchanged; this is the numeric foundation
     # of exact width growth.
-    from moegrow.model import _rmsnorm
-    from moegrow.tensor import Tensor
-
     rng = np.random.default_rng(12)
     x = rng.normal(size=(5, 8)).astype(np.float32)
     gain = rng.normal(size=(8,)).astype(np.float32)
-    base = _rmsnorm(Tensor(x), Tensor(gain)).data
-    doubled = _rmsnorm(
-        Tensor(np.concatenate([x, x], axis=-1)),
-        Tensor(np.concatenate([gain, gain])),
+    base = Tensor(x).rmsnorm(Tensor(gain), NORM_EPS).data
+    doubled = Tensor(np.concatenate([x, x], axis=-1)).rmsnorm(
+        Tensor(np.concatenate([gain, gain])), NORM_EPS,
     ).data
     assert doubled[:, :8].tobytes() == base.tobytes()
     assert doubled[:, 8:].tobytes() == base.tobytes()
@@ -337,11 +333,11 @@ def test_no_bias_config_runs(micro_config):
     assert not any("bias" in n for n in grads)
 
 
-def taped_eval_loss(ckpt, data, seq_len, max_chunk_tokens):
+def taped_eval_loss(ckpt, data, seq_len):
     window = seq_len + 1
     n = data.size // window
     batch = data[: n * window].reshape(n, window)
-    per_chunk = max(1, max_chunk_tokens // window)
+    per_chunk = max(1, EVAL_CHUNK_TOKENS // window)
     total = 0.0
     for start in range(0, n, per_chunk):
         chunk = batch[start : start + per_chunk]
@@ -361,10 +357,10 @@ def test_untaped_evaluation_is_bitwise_the_taped_pass(micro_ckpt, micro_config, 
     if routed:
         assert trace.aux_loss == float(graph.aux.data)
         assert trace.z_loss == float(graph.z.data)
-    data = tokens_for(micro_config, 17, 300)
-    assert eval_loss(ckpt, data, seq_len=8, max_chunk_tokens=40) == taped_eval_loss(
-        ckpt, data, 8, max_chunk_tokens=40
-    )
+    # 2,400 tokens are 266 windows of 9: chunks of 117, 117 and 32 windows
+    data = tokens_for(micro_config, 17, 2400)
+    assert EVAL_CHUNK_TOKENS // 9 == 117
+    assert eval_loss(ckpt, data, seq_len=8) == taped_eval_loss(ckpt, data, 8)
 
 
 def test_evaluation_keeps_no_tape_and_sets_no_grad(micro_ckpt, micro_config, moe_small,
