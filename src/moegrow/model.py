@@ -119,7 +119,14 @@ def build_graph(ckpt: Checkpoint, tokens, dtype=np.float32) -> ModelGraph:
     cfg = ckpt.config
     tokens = _check_tokens(tokens, cfg)
     batch, seq = tokens.shape
-    params = {name: Tensor(arr.astype(dtype, copy=False)) for name, arr in ckpt.tensors.items()}
+    # an array held under several names (the experts of an upcycled layer)
+    # is converted once; each name still gets its own leaf and gradient
+    converted: dict[int, np.ndarray] = {}
+    params = {}
+    for name, arr in ckpt.tensors.items():
+        if id(arr) not in converted:
+            converted[id(arr)] = arr.astype(dtype, copy=False)
+        params[name] = Tensor(converted[id(arr)])
     cos, sin = _rotary_tables(seq, cfg.head_dim, dtype)
     mask = np.triu(np.full((seq, seq), MASK_VALUE, dtype=dtype), k=1)
     scale = 1.0 / math.sqrt(cfg.head_dim)

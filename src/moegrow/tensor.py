@@ -5,7 +5,9 @@ elementwise arithmetic, batched matmul, shape ops, gathers/scatters with
 unique indices, softmax/logsumexp, and fused RMSNorm, rotary, causal
 softmax, next-token cross entropy, gated MLP and expert mix ops with
 hand-written backwards. Graphs are built eagerly; ``backward()`` runs one
-reverse topological pass. Operands that are not Tensors (numbers, arrays)
+reverse topological pass and releases each interior node once its gradient
+has passed to its parents, so a graph is differentiated once and only the
+leaves keep a ``.grad``. Operands that are not Tensors (numbers, arrays)
 are constants and get no gradient.
 Inside ``no_tape()`` ops record nothing, for forward passes nobody
 differentiates. Inside ``no_huge_pages()`` numpy asks the kernel for no huge
@@ -464,7 +466,14 @@ class Tensor:
 
     @no_huge_pages()
     def backward(self, seed: np.ndarray | None = None) -> None:
-        """Accumulate gradients into every reachable node's ``.grad``."""
+        """Accumulate gradients into the ``.grad`` of every reachable leaf.
+
+        An interior node (one with a backward closure) is released as soon as
+        its gradient has reached its parents: its ``.grad``, closure and
+        parent links are dropped, so the tape is freed as it is consumed and
+        a graph is differentiated once. Leaves (parameters, inputs and
+        constants) keep their ``.grad``.
+        """
         order: list[Tensor] = []
         seen: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -487,15 +496,19 @@ class Tensor:
             else np.asarray(seed, dtype=self.dtype)
         )
         for node in reversed(order):
-            if node._backward is None or node.grad is None:
+            if node._backward is None:
                 continue
-            for parent, grad in zip(node._parents, node._backward(node.grad)):
+            grads = () if node.grad is None else node._backward(node.grad)
+            for parent, grad in zip(node._parents, grads):
                 if grad is None:
                     continue
                 if parent.grad is None:
                     parent.grad = grad.copy() if grad.base is not None else grad
                 else:
                     parent.grad = parent.grad + grad
+            # every consumer of this node has run: release its gradient and
+            # whatever its closure saved for the backward
+            node.grad, node._backward, node._parents = None, None, ()
 
 
 def mix(weights: Tensor, outs) -> Tensor:

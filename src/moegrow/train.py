@@ -187,6 +187,9 @@ def train(ckpt: Checkpoint, dataset, cfg: TrainConfig, eval_data=None,
             aux_loss=float(graph.aux.data) if graph.aux is not None else None,
             z_loss=float(graph.z.data) if graph.z is not None else None,
         )
+        # the leaf gradients are spent: free them before the in-loop eval and
+        # the next step's forward
+        del graph
         if eval_data is not None and (step % eval_every == 0 or step == cfg.total_steps - 1):
             row = dataclasses.replace(
                 row, eval_loss=eval_loss(live, eval_data, cfg.seq_len)

@@ -410,9 +410,10 @@ def test_a_constant_operand_leaves_the_tensor_gradient_unchanged(case):
     as_tensor, as_constant = Tensor(a.copy()), Tensor(a.copy())
     weighted(apply(as_tensor, Tensor(np.asarray(c))), seed=17).backward()
     out = apply(as_constant, c)
+    # backward releases out's parent links, so take the wrapped operand first
+    (wrapped,) = [p for p in out._parents if p is not as_constant]
     weighted(out, seed=17).backward()
     assert as_constant.grad.tobytes() == as_tensor.grad.tobytes()
-    (wrapped,) = [p for p in out._parents if p is not as_constant]
     assert wrapped.grad is None
 
 
