@@ -26,16 +26,12 @@ from .savings import load_plan, savings_report
 from .train import TrainConfig, train
 
 
-def _read_text(path: str) -> str:
+def _read_json(path: str) -> dict:
     p = Path(path)
     if not p.is_file():
         raise CheckpointError(f"file not found: {path}")
-    return p.read_text(encoding="utf-8")
-
-
-def _read_json(path: str) -> dict:
     try:
-        return json.loads(_read_text(path))
+        return json.loads(p.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"unparseable JSON in {path}: {exc}") from exc
 
@@ -139,7 +135,7 @@ def cmd_eval(args) -> tuple[int, dict]:
 
 
 def cmd_savings(args) -> tuple[int, dict]:
-    phases, baseline = load_plan(_read_text(args.plan))
+    phases, baseline = load_plan(_read_json(args.plan))
     report = savings_report(phases, baseline)
     print(f"time_factor {report.time_factor:.2f}, power_factor {report.power_factor:.2f}")
     return 0, report.to_dict()
@@ -178,7 +174,7 @@ def cmd_synth(args) -> tuple[int, dict]:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="moegrow",
-        description="Grow dense transformer checkpoints and upcycle them into MoE models.",
+        description="Grow dense or routed transformer checkpoints; upcycle dense ones into MoEs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -189,13 +185,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init-std", type=float, default=0.02)
     p.set_defaults(func=cmd_init)
 
-    p = sub.add_parser("grow", help="scale a dense checkpoint up per a growth plan")
+    p = sub.add_parser("grow", help="scale a dense or routed checkpoint up per a growth plan")
     p.add_argument("--in", dest="input", required=True, help="source checkpoint directory")
     p.add_argument("--plan", required=True, help="growth plan JSON file")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_grow)
 
-    p = sub.add_parser("upcycle", help="scale a dense checkpoint out into an MoE")
+    p = sub.add_parser("upcycle", help="scale a dense checkpoint out into an MoE that grow accepts")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--experts", type=int, default=8)
     p.add_argument("--top-k", type=int, default=2)

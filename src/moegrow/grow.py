@@ -1,4 +1,4 @@
-"""Width, head, and depth growth operators for dense checkpoints.
+"""Width, head, and depth growth operators for dense and routed checkpoints.
 
 Two width-expansion families over a shared circular index map:
 
@@ -13,12 +13,19 @@ Two width-expansion families over a shared circular index map:
 Depth then grows by copying whole layers, either stacked (source order
 repeated) or interpolated (each source layer repeated in place), and
 scale_up composes width-then-depth.
+
+Routed checkpoints grow by the same role table (checkpoint.ROLES): a
+router's rows split on the hidden map, experts grow with the MLP's maps
+(under AKI expert j's donor is expert j of the layer above), and depth
+growth repeats whole routed blocks. FPI keeps a routed model's function,
+but in float32 the split router rows reorder the logit sums, so a top-k
+near-tie can flip once experts differ; compare routed growth in float64.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,16 +41,30 @@ class WidthMap:
     """Mapping from grown indices to source indices along one axis.
 
     src_index[i] names the source neuron that new position i copies;
-    multiplicity[j] counts how many new positions copy source j.
+    multiplicity[j], derived from it, counts how many new positions copy
+    source j. Building a map checks that every index names one of the
+    old_dim sources and that every source is copied at least once.
     """
 
-    new_dim: int
     src_index: np.ndarray
-    multiplicity: np.ndarray
+    old_dim: int
+    multiplicity: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        src = np.asarray(self.src_index)
+        if src.ndim != 1 or src.dtype.kind not in "iu":
+            raise ValidationError("src_index must be a 1-D integer array")
+        if src.size and (src.min() < 0 or src.max() >= self.old_dim):
+            raise ValidationError(f"src_index out of range for old_dim {self.old_dim}")
+        multiplicity = np.bincount(src, minlength=self.old_dim)
+        if self.old_dim < 1 or (multiplicity < 1).any():
+            raise ValidationError("every source index must be copied at least once")
+        object.__setattr__(self, "src_index", src)
+        object.__setattr__(self, "multiplicity", multiplicity)
 
     @property
-    def old_dim(self) -> int:
-        return len(self.multiplicity)
+    def new_dim(self) -> int:
+        return len(self.src_index)
 
     def primary_mask(self) -> np.ndarray:
         """True at the first position copying each source index.
@@ -60,27 +81,14 @@ class WidthMap:
         """The same map over blocks of ``size`` consecutive elements, one entry
         per element: a head map becomes a map over the head-major q axis."""
         src = (self.src_index[:, None] * size + np.arange(size)).reshape(-1)
-        return WidthMap(new_dim=self.new_dim * size, src_index=src,
-                        multiplicity=np.repeat(self.multiplicity, size))
-
-    def validate(self) -> None:
-        if len(self.src_index) != self.new_dim:
-            raise ValidationError("src_index length must equal new_dim")
-        if self.src_index.min() < 0 or self.src_index.max() >= self.old_dim:
-            raise ValidationError("src_index out of range")
-        if self.multiplicity.sum() != self.new_dim:
-            raise ValidationError("multiplicities must sum to new_dim")
-        if (self.multiplicity < 1).any():
-            raise ValidationError("every source index must be used at least once")
+        return WidthMap(src, self.old_dim * size)
 
 
 def build_width_map(old_dim: int, new_dim: int) -> WidthMap:
     """Circular copy map: new position i copies source i mod old_dim."""
     if old_dim < 1 or new_dim < old_dim:
         raise ValidationError(f"need 1 <= old_dim <= new_dim, got ({old_dim}, {new_dim})")
-    src = np.arange(new_dim) % old_dim
-    return WidthMap(new_dim=new_dim, src_index=src,
-                    multiplicity=np.bincount(src, minlength=old_dim))
+    return WidthMap(np.arange(new_dim) % old_dim, old_dim)
 
 
 def build_grouped_head_map(old_heads: int, new_heads: int, kv_groups: int) -> WidthMap:
@@ -100,8 +108,7 @@ def build_grouped_head_map(old_heads: int, new_heads: int, kv_groups: int) -> Wi
     src = np.concatenate(
         [g * hpg_old + (np.arange(hpg_new) % hpg_old) for g in range(kv_groups)]
     )
-    return WidthMap(new_dim=new_heads, src_index=src,
-                    multiplicity=np.bincount(src, minlength=old_heads))
+    return WidthMap(src, old_heads)
 
 
 def expand_in_axis(w: np.ndarray, wmap: WidthMap) -> np.ndarray:
@@ -158,8 +165,6 @@ def _check_width_growth(src: ModelConfig, tgt: ModelConfig) -> None:
 
 
 def _expand_width(ckpt: Checkpoint, target: ModelConfig, use_donors: bool) -> Checkpoint:
-    if ckpt.moe is not None:
-        raise ValidationError("width growth operates on dense checkpoints")
     ckpt = ckpt.snapshot()
     src = ckpt.config
     _check_width_growth(src, target)
@@ -169,7 +174,7 @@ def _expand_width(ckpt: Checkpoint, target: ModelConfig, use_donors: bool) -> Ch
         "q": build_grouped_head_map(src.n_heads, target.n_heads, src.kv_groups)
         .per_element(src.head_dim),
     }
-    axes = tensor_axes(src)
+    axes = tensor_axes(src, ckpt.moe)
 
     # input axes first (pure splitting): a matrix whose first axis grows
     split = {
@@ -190,7 +195,7 @@ def _expand_width(ckpt: Checkpoint, target: ModelConfig, use_donors: bool) -> Ch
                     donor = split[f"layers.{int(i) + 1}.{role}"]
             w = expand_out_axis(w, maps[last], donor)
         tensors[name] = w
-    return Checkpoint(config=target, tensors=tensors).freeze()
+    return Checkpoint(config=target, tensors=tensors, moe=ckpt.moe).freeze()
 
 
 def fpi_expand(ckpt: Checkpoint, target: ModelConfig) -> Checkpoint:
@@ -223,19 +228,17 @@ def depth_source_indices(source_layers: int, target_layers: int, mode: str) -> l
 def grow_depth(ckpt: Checkpoint, target_layers: int, mode: str) -> Checkpoint:
     """Repeat whole layers to reach target_layers. The output shares every
     array of a frozen input; an unfrozen one is copied once first."""
-    if ckpt.moe is not None:
-        raise ValidationError("depth growth operates on dense checkpoints")
     ckpt = ckpt.snapshot()
     sources = depth_source_indices(ckpt.config.n_layers, target_layers, mode)
     target = dataclasses.replace(ckpt.config, n_layers=target_layers)
     tensors: dict[str, np.ndarray] = {}
-    for name in tensor_axes(target):
+    for name in tensor_axes(target, ckpt.moe):
         source = name
         if name.startswith("layers."):
             _, i, role = name.split(".", 2)
             source = f"layers.{sources[int(i)]}.{role}"
         tensors[name] = ckpt.tensors[source]
-    return Checkpoint(config=target, tensors=tensors).freeze()
+    return Checkpoint(config=target, tensors=tensors, moe=ckpt.moe).freeze()
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ ratios of baseline cost to pipeline cost, so larger is better.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .config import Record
@@ -117,12 +116,8 @@ def savings_report(phases: list[PhaseSpec], baseline: PhaseSpec) -> SavingsRepor
     )
 
 
-def load_plan(text: str) -> tuple[list[PhaseSpec], PhaseSpec]:
-    """Parse a plan document: {"phases": [PhaseSpec...], "baseline": PhaseSpec}."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"unparseable plan: {exc}") from exc
+def load_plan(doc: dict) -> tuple[list[PhaseSpec], PhaseSpec]:
+    """Check a parsed plan document: {"phases": [PhaseSpec...], "baseline": PhaseSpec}."""
     if not isinstance(doc, dict) or set(doc) != {"phases", "baseline"}:
         raise ValidationError("plan must be an object with exactly 'phases' and 'baseline'")
     if not isinstance(doc["phases"], list):

@@ -116,6 +116,24 @@ def test_width_only_growth_verifies_exactly(workspace, capsys):
     assert capsys.readouterr().out.startswith("PASS:")
 
 
+def test_a_routed_checkpoint_grows_and_verifies(workspace, capsys):
+    cfg, ckpt, routed = workspace / "config.json", workspace / "dense", workspace / "routed"
+    run(["init", "--config", cfg, "--seed", 2, "--out", ckpt])
+    run(["upcycle", "--in", ckpt, "--experts", 4, "--top-k", 2, "--seed", 5, "--out", routed])
+    plan = workspace / "plan.json"
+    target = dict(MICRO, hidden_dim=16, n_heads=8, intermediate_dim=12)
+    plan.write_text(json.dumps({
+        "method": "fpi", "depth_mode": "stack",
+        "source_config": MICRO, "target_config": target,
+    }))
+    grown = workspace / "grown"
+    assert run(["grow", "--in", routed, "--plan", plan, "--out", grown]) == 0
+    assert load_checkpoint(grown).moe == load_checkpoint(routed).moe
+    capsys.readouterr()
+    assert run(["verify", "--src", routed, "--dst", grown]) == 0
+    assert capsys.readouterr().out.startswith("PASS:")
+
+
 def test_verify_fail_exits_one(workspace, capsys):
     cfg = workspace / "config.json"
     a, b = workspace / "a", workspace / "b"
@@ -283,6 +301,7 @@ TRAIN = ["train", "--in", "{ws}/dense", "--data", "{ws}/data.u32", "--config", "
       "--out", "{ws}/x"], None, 1),
     (["grow", "--in", "{ws}/dense", "--plan", "{ws}/number.json", "--out", "{ws}/x"], None, 1),
     (["grow", "--in", "{ws}/dense", "--plan", "{ws}/broken.json", "--out", "{ws}/x"], None, 1),
+    (["savings", "--plan", "{ws}/broken.json"], None, 1),
     (["synth", "--seed", "-1", "--vocab", "16", "--tokens", "100", "--out", "{ws}/x.u32"], None, 1),
     (["init", "--config", "{ws}/config.json", "--seed", "-3", "--out", "{ws}/x"], None, 1),
     (["upcycle", "--in", "{ws}/dense", "--seed", "-2", "--out", "{ws}/x"], None, 1),
@@ -302,11 +321,11 @@ TRAIN = ["train", "--in", "{ws}/dense", "--data", "{ws}/data.u32", "--config", "
     (VERIFY + ["--probe-len", "1"], None, 1),
 ], ids=["header-list", "config-list", "moe-list", "missing-tokens", "partial-token",
         "config-from-another-save", "train-config-list", "plan-number", "plan-not-json",
-        "synth-seed-negative", "init-seed-negative", "upcycle-seed-negative", "verify-seed-negative",
-        "train-seed-negative", "train-seed-float", "train-seed-bool", "train-steps-float",
-        "model-bias-string", "eval-every-zero", "init-std-negative", "init-std-nan",
-        "init-std-inf", "verify-tol-nan", "verify-tol-negative", "verify-probe-len-0",
-        "verify-probe-len-1"])
+        "savings-plan-not-json", "synth-seed-negative", "init-seed-negative",
+        "upcycle-seed-negative", "verify-seed-negative", "train-seed-negative",
+        "train-seed-float", "train-seed-bool", "train-steps-float", "model-bias-string",
+        "eval-every-zero", "init-std-negative", "init-std-nan", "init-std-inf",
+        "verify-tol-nan", "verify-tol-negative", "verify-probe-len-0", "verify-probe-len-1"])
 def test_malformed_input_exits_with_an_error_line(workspace, capsys, argv, break_input, code):
     run(["init", "--config", workspace / "config.json", "--seed", 0, "--out", workspace / "dense"])
     save_tokens(workspace / "data.u32", np.arange(40) % 16)

@@ -11,7 +11,9 @@ from moegrow import (
     GrowthPlan,
     ModelConfig,
     MoEConfig,
+    TrainConfig,
     ValidationError,
+    WidthMap,
     aki_expand,
     build_graph,
     build_grouped_head_map,
@@ -24,6 +26,7 @@ from moegrow import (
     random_init,
     scale_up,
     symmetry_report,
+    train,
     upcycle,
     verify_preservation,
 )
@@ -39,7 +42,6 @@ def test_circular_map_golden():
     wmap = build_width_map(4, 10)
     assert wmap.src_index.tolist() == [0, 1, 2, 3, 0, 1, 2, 3, 0, 1]
     assert wmap.multiplicity.tolist() == [3, 3, 2, 2]
-    wmap.validate()
 
 
 def test_circular_map_identity():
@@ -79,10 +81,20 @@ def test_per_element_head_map_golden():
     assert wmap.src_index.tolist() == [0, 1, 0, 1, 2, 3, 2, 3]
     assert wmap.multiplicity.tolist() == [2, 2, 2, 2]
     assert wmap.primary_mask().tolist() == [True, True, False, False] * 2
-    wmap.validate()
     uneven = build_width_map(2, 3).per_element(2)
     assert uneven.src_index.tolist() == [0, 1, 2, 3, 0, 1]
     assert uneven.multiplicity.tolist() == [2, 2, 1, 1]
+
+
+def test_a_hand_built_map_is_checked_when_built():
+    # multiplicities follow from src_index, so a split cannot disagree with
+    # the copies; a source that is never copied, or an index past old_dim,
+    # is refused at construction
+    assert WidthMap(np.array([0, 1, 1]), old_dim=2).multiplicity.tolist() == [1, 2]
+    with pytest.raises(ValidationError, match="copied"):
+        WidthMap(np.array([0, 1, 1]), old_dim=3)
+    with pytest.raises(ValidationError, match="out of range"):
+        WidthMap(np.array([0, 1, 5]), old_dim=2)
 
 
 def test_grouped_head_map_rejects_bad_divisibility():
@@ -231,10 +243,12 @@ def test_quadrupling_preserves_within_tolerance(micro_ckpt, micro_config):
     head_growth=st.integers(1, 3),
     mlp_growth=st.integers(1, 3),
     seed=st.integers(0, 2**16),
+    routed=st.booleans(),
+    data=st.data(),
 )
 def test_fpi_preserves_function_over_integer_multiples(
     n_layers, kv_groups, heads_per_group, head_dim, intermediate_dim, qkv_bias,
-    head_growth, mlp_growth, seed,
+    head_growth, mlp_growth, seed, routed, data,
 ):
     heads = kv_groups * heads_per_group
     src = ModelConfig(
@@ -247,10 +261,61 @@ def test_fpi_preserves_function_over_integer_multiples(
         intermediate_dim=mlp_growth * intermediate_dim,
     )
     ckpt = random_init(src, seed=seed, init_std=0.4)
+    if routed:
+        # float64: in float32 the split router rows reorder the logit sums,
+        # and a near-tie in the top-k could select another expert
+        n_experts = data.draw(st.integers(2, 4), label="n_experts")
+        top_k = data.draw(st.integers(1, n_experts), label="top_k")
+        ckpt = upcycle(ckpt, MoEConfig(n_experts=n_experts, top_k=top_k,
+                                       router_init_std=0.5), seed=seed)
     grown = fpi_expand(ckpt, target)
+    assert grown.moe == ckpt.moe
     report = verify_preservation(ckpt, grown, n_probes=2, probe_len=8, seed=seed,
                                  dtype=np.float64, tol=1e-5)
     assert report.passed, report
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    n_layers=st.integers(1, 2),
+    kv_groups=st.sampled_from([1, 2]),
+    head_growth=st.integers(1, 2),
+    mlp_growth=st.integers(1, 3),
+    depth=st.integers(0, 2),
+    method=st.sampled_from(["fpi", "aki"]),
+    depth_mode=st.sampled_from(["stack", "interpolate"]),
+    seed=st.integers(0, 2**16),
+)
+def test_upcycling_commutes_with_scale_up(n_layers, kv_groups, head_growth, mlp_growth,
+                                          depth, method, depth_mode, seed):
+    # experts grow with the MLP's own maps, so growing an upcycled model
+    # equals upcycling the grown one; the routers differ only in when they
+    # were drawn, and a grown router is its source's rows split on hidden
+    src = ModelConfig(
+        n_layers=n_layers, hidden_dim=4 * kv_groups, n_heads=2 * kv_groups, head_dim=2,
+        kv_groups=kv_groups, intermediate_dim=5, vocab_size=16, context_length=16,
+    )
+    target = dataclasses.replace(
+        src, n_layers=n_layers + depth, n_heads=head_growth * src.n_heads,
+        hidden_dim=head_growth * src.hidden_dim, intermediate_dim=mlp_growth * 5,
+    )
+    plan = GrowthPlan(method=method, depth_mode=depth_mode, source_config=src,
+                      target_config=target)
+    moe = MoEConfig(n_experts=3, top_k=2)
+    dense = random_init(src, seed=seed, init_std=0.4)
+    routed = upcycle(dense, moe, seed=seed)
+    grown = scale_up(routed, plan)
+    expected = upcycle(scale_up(dense, plan), moe, seed=seed)
+    assert grown.moe == moe and list(grown.tensors) == list(expected.tensors)
+    hidden = build_width_map(src.hidden_dim, target.hidden_dim)
+    sources = depth_source_indices(src.n_layers, target.n_layers, depth_mode)
+    for name, arr in grown.tensors.items():
+        if name.endswith(".moe.router"):
+            i = int(name.split(".")[1])
+            source = routed.tensors[f"layers.{sources[i]}.moe.router"]
+            assert arr.tobytes() == expand_in_axis(source, hidden).tobytes(), name
+        else:
+            assert arr.tobytes() == expected.tensors[name].tobytes(), name
 
 
 def test_uneven_hidden_growth_is_reported_not_hidden(micro_ckpt, micro_config):
@@ -298,12 +363,6 @@ def test_growth_rejects_bad_targets(micro_ckpt, micro_config):
     for target in cases:
         with pytest.raises(ValidationError):
             fpi_expand(micro_ckpt, target)
-
-
-def test_growth_rejects_moe_input(micro_ckpt, micro_config, moe_small):
-    sparse = upcycle(micro_ckpt, moe_small, seed=0)
-    with pytest.raises(ValidationError):
-        fpi_expand(sparse, doubled(micro_config))
 
 
 # -- AKI provenance and symmetry ----------------------------------------------
@@ -467,12 +526,6 @@ def test_grow_depth_lays_out_the_target_roles_in_canonical_order(micro_ckpt):
         assert list(grown.tensors) == list(tensor_axes(grown.config))
 
 
-def test_grow_depth_rejects_moe(micro_ckpt, moe_small):
-    sparse = upcycle(micro_ckpt, moe_small, seed=0)
-    with pytest.raises(ValidationError):
-        grow_depth(sparse, 4, "stack")
-
-
 # -- growth plans and composition ---------------------------------------------
 
 
@@ -524,6 +577,26 @@ def test_scale_up_is_width_then_depth(micro_ckpt, micro_config):
     assert via_plan.config == by_hand.config == target
     for name in via_plan.tensors:
         assert via_plan.tensors[name].tobytes() == by_hand.tensors[name].tobytes()
+
+
+def test_scale_up_continues_after_a_trained_scale_out(micro_ckpt, micro_config, corpus):
+    # dense -> scale up -> upcycle -> train -> scale up again: the second,
+    # width-only FPI growth keeps the trained routed model's function
+    deeper = dataclasses.replace(doubled(micro_config), n_layers=3)
+    grown = scale_up(micro_ckpt, GrowthPlan(method="aki", depth_mode="interpolate",
+                                            source_config=micro_config,
+                                            target_config=deeper))
+    cfg = TrainConfig(lr=3e-3, warmup_steps=0, total_steps=3, batch_tokens=64, seq_len=16,
+                      seed=0)
+    routed, _ = train(upcycle(grown, MoEConfig(n_experts=4, top_k=2, router_init_std=0.5),
+                              seed=2), corpus % 16, cfg)
+    wider = scale_up(routed, GrowthPlan(method="fpi", depth_mode="stack",
+                                        source_config=deeper, target_config=doubled(deeper)))
+    assert wider.moe == routed.moe
+    report = verify_preservation(routed, wider, n_probes=4, probe_len=12, dtype=np.float64)
+    assert report.passed, report
+    _, log = train(wider, corpus % 16, dataclasses.replace(cfg, total_steps=2))
+    assert all(np.isfinite(row.train_loss) for row in log.rows)
 
 
 def test_scale_up_rejects_mismatched_source(micro_ckpt, micro_config, toy_config):
@@ -584,17 +657,28 @@ TRANSFORMS = {
         target_config=dataclasses.replace(doubled(ck.config), n_layers=5))),
     "upcycle": lambda ck: upcycle(ck, MoEConfig(n_experts=4, top_k=2), seed=1),
 }
+# every transform on the dense micro checkpoint, and the growth transforms on
+# its upcycled form as well
+CASES = [pytest.param(t, False, id=t) for t in sorted(TRANSFORMS)] + [
+    pytest.param(t, True, id=f"routed-{t}") for t in sorted(TRANSFORMS) if t != "upcycle"
+]
+
+
+def transform_input(ckpt: Checkpoint, routed: bool) -> Checkpoint:
+    return TRANSFORMS["upcycle"](ckpt) if routed else ckpt
 
 
 def test_transforms_share_the_untouched_arrays_of_a_frozen_input(micro_ckpt, micro_config):
     sources = depth_source_indices(micro_config.n_layers, 5, "interpolate")
-    deep = grow_depth(micro_ckpt, 5, "interpolate")
-    for name, arr in deep.tensors.items():
-        _, layer, role = name.partition("layers.")
-        if layer:
-            i, role = role.split(".", 1)
-            name = f"layers.{sources[int(i)]}.{role}"
-        assert np.shares_memory(arr, micro_ckpt.tensors[name]), name
+    for routed in (False, True):  # routers and experts are shared as well
+        src = transform_input(micro_ckpt, routed)
+        deep = grow_depth(src, 5, "interpolate")
+        for name, arr in deep.tensors.items():
+            _, layer, role = name.partition("layers.")
+            if layer:
+                i, role = role.split(".", 1)
+                name = f"layers.{sources[int(i)]}.{role}"
+            assert np.shares_memory(arr, src.tensors[name]), name
     # width growth leaves the key and value biases (axis kv) as they are,
     # and depth growth then repeats the widened layers without copying them
     grown = TRANSFORMS["scale_up"](micro_ckpt)
@@ -615,23 +699,27 @@ def test_transforms_share_the_untouched_arrays_of_a_frozen_input(micro_ckpt, mic
             assert arr is micro_ckpt.tensors[name], name
 
 
-@pytest.mark.parametrize("transform", sorted(TRANSFORMS))
-def test_a_transform_of_an_unfrozen_input_ignores_later_writes_to_it(micro_ckpt, transform):
-    ckpt = thawed(micro_ckpt)
+@pytest.mark.parametrize("transform, routed", CASES)
+def test_a_transform_of_an_unfrozen_input_ignores_later_writes_to_it(micro_ckpt, transform,
+                                                                     routed):
+    frozen = transform_input(micro_ckpt, routed)
+    ckpt = thawed(frozen)
     out = TRANSFORMS[transform](ckpt)
     for arr in ckpt.tensors.values():
         arr[...] = 7.0  # the caller's arrays stay the caller's, and writable
-    expected = TRANSFORMS[transform](micro_ckpt)
+    expected = TRANSFORMS[transform](frozen)
     assert list(out.tensors) == list(expected.tensors)
     for name, arr in out.tensors.items():
         assert arr.tobytes() == expected.tensors[name].tobytes(), name
 
 
-@pytest.mark.parametrize("transform", sorted(TRANSFORMS))
+@pytest.mark.parametrize("transform, routed", CASES)
 @pytest.mark.parametrize("name", ["embed", "layers.1.attn.k_bias", "layers.0.mlp.w_up"])
 def test_a_non_finite_value_in_an_unfrozen_input_fails_every_transform(micro_ckpt, transform,
-                                                                        name):
-    ckpt = thawed(micro_ckpt)
+                                                                        routed, name):
+    ckpt = thawed(transform_input(micro_ckpt, routed))
+    if routed:
+        name = name.replace(".mlp.", ".moe.expert.2.")
     ckpt.tensors[name][0] = np.nan
     with pytest.raises(ValidationError, match="non-finite"):
         TRANSFORMS[transform](ckpt)

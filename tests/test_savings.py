@@ -1,5 +1,4 @@
 import dataclasses
-import json
 
 import pytest
 
@@ -114,24 +113,22 @@ def test_load_plan_roundtrip():
         "phases": [p.to_dict() for p in PIPELINE],
         "baseline": BASELINE.to_dict(),
     }
-    phases, baseline = load_plan(json.dumps(doc))
+    phases, baseline = load_plan(doc)
     assert phases == PIPELINE
     assert baseline == BASELINE
 
 
 def test_load_plan_errors():
     with pytest.raises(ValidationError):
-        load_plan("{broken")
+        load_plan({"phases": []})
     with pytest.raises(ValidationError):
-        load_plan(json.dumps({"phases": []}))
-    with pytest.raises(ValidationError):
-        load_plan(json.dumps({"phases": {}, "baseline": BASELINE.to_dict()}))
+        load_plan({"phases": {}, "baseline": BASELINE.to_dict()})
     doc = {"phases": [PREPARATION.to_dict()], "baseline": BASELINE.to_dict()}
     doc["phases"][0]["extra_column"] = 1
     with pytest.raises(ValidationError):
-        load_plan(json.dumps(doc))
+        load_plan(doc)
     with pytest.raises(ValidationError, match="JSON object"):
-        load_plan(json.dumps({"phases": [5], "baseline": BASELINE.to_dict()}))
+        load_plan({"phases": [5], "baseline": BASELINE.to_dict()})
     doc = {"phases": [dict(PREPARATION.to_dict(), devices="many")], "baseline": BASELINE.to_dict()}
     with pytest.raises(ValidationError):
-        load_plan(json.dumps(doc))
+        load_plan(doc)
