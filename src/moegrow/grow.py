@@ -36,14 +36,15 @@ from .model import build_graph
 from .tensor import no_tape
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WidthMap:
     """Mapping from grown indices to source indices along one axis.
 
     src_index[i] names the source neuron that new position i copies;
     multiplicity[j], derived from it, counts how many new positions copy
     source j. Building a map checks that every index names one of the
-    old_dim sources and that every source is copied at least once.
+    old_dim sources and that every source is copied at least once. Maps
+    compare by identity: a field-wise ``==`` over arrays has no truth value.
     """
 
     src_index: np.ndarray

@@ -19,7 +19,7 @@ from .checkpoint import Checkpoint, tensor_shapes
 from .config import ModelConfig, check_seed
 from .errors import TrainingDiverged, ValidationError
 from .moe import load_balance_term, moe_total_loss, route_batch, z_term
-from .tensor import Tensor, mix, no_huge_pages, no_tape
+from .tensor import Tensor, attention, mix, no_huge_pages, no_tape
 
 ROTARY_BASE = 10000.0
 NORM_EPS = 1e-5
@@ -130,12 +130,6 @@ def build_graph(ckpt: Checkpoint, tokens, dtype=np.float32) -> ModelGraph:
     cos, sin = _rotary_tables(seq, cfg.head_dim, dtype)
     mask = np.triu(np.full((seq, seq), MASK_VALUE, dtype=dtype), k=1)
     scale = 1.0 / math.sqrt(cfg.head_dim)
-    # attention runs on (batch, kv group, head in group, seq, head_dim); keys
-    # and values have one head per group, which broadcasts over its query heads
-    groups, d = cfg.kv_groups, cfg.head_dim
-    q_heads = (batch, seq, groups, cfg.heads_per_group, d)
-    kv_heads = (batch, seq, groups, 1, d)
-    heads_first = (0, 2, 3, 1, 4)
 
     aux_terms: list[Tensor] = []
     z_terms: list[Tensor] = []
@@ -152,12 +146,7 @@ def build_graph(ckpt: Checkpoint, tokens, dtype=np.float32) -> ModelGraph:
             q = q + params[f"{p}.attn.q_bias"]
             k = k + params[f"{p}.attn.k_bias"]
             v = v + params[f"{p}.attn.v_bias"]
-        q = q.reshape(q_heads).transpose(heads_first).rotary(cos, sin)
-        k = k.reshape(kv_heads).transpose(heads_first).rotary(cos, sin)
-        v = v.reshape(kv_heads).transpose(heads_first)
-        probs = (q @ k.transpose((0, 1, 2, 4, 3))).causal_softmax(scale, mask)
-        ctx = (probs @ v).transpose((0, 3, 1, 2, 4)).reshape(batch, seq, cfg.q_dim)
-        x = x + ctx @ params[f"{p}.attn.wo"]
+        x = x + attention(q, k, v, cos, sin, scale, mask) @ params[f"{p}.attn.wo"]
 
         hn = x.rmsnorm(params[f"{p}.mlp_norm"], NORM_EPS)
         if ckpt.moe is not None:

@@ -2,12 +2,13 @@
 
 Just enough ops for a decoder-only transformer with routed MLP blocks:
 elementwise arithmetic, batched matmul, shape ops, gathers/scatters with
-unique indices, softmax/logsumexp, and fused RMSNorm, rotary, causal
-softmax, next-token cross entropy, gated MLP and expert mix ops with
-hand-written backwards. Graphs are built eagerly; ``backward()`` runs one
-reverse topological pass and releases each interior node once its gradient
-has passed to its parents, so a graph is differentiated once and only the
-leaves keep a ``.grad``. Operands that are not Tensors (numbers, arrays)
+unique indices, softmax/logsumexp, and fused RMSNorm, attention (rotary,
+grouped-query scores, causal softmax and context in one op), next-token
+cross entropy, gated MLP and expert mix ops with hand-written backwards.
+Graphs are built eagerly; ``backward()`` runs one reverse topological pass
+and releases each interior node once its gradient has passed to its
+parents, so a graph is differentiated once and only the leaves keep a
+``.grad``. Operands that are not Tensors (numbers, arrays)
 are constants and get no gradient.
 Inside ``no_tape()`` ops record nothing, for forward passes nobody
 differentiates. Inside ``no_huge_pages()`` numpy asks the kernel for no huge
@@ -97,15 +98,6 @@ def _fold_sum_last(a: np.ndarray) -> np.ndarray:
 def _rows(x: np.ndarray) -> np.ndarray:
     """x as a matrix of its last axis, every leading axis flattened into rows."""
     return x.reshape(-1, x.shape[-1])
-
-
-def _softmax_last(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def _softmax_last_grad(g: np.ndarray, s: np.ndarray) -> np.ndarray:
-    return (g - (g * s).sum(axis=-1, keepdims=True)) * s
 
 
 class Tensor:
@@ -305,8 +297,9 @@ class Tensor:
         return self * self.sigmoid()
 
     def softmax_last(self):
-        s = _softmax_last(self.data)
-        return self._make(s, (self,), lambda g: (_softmax_last_grad(g, s),))
+        e = np.exp(self.data - self.data.max(axis=-1, keepdims=True))
+        s = e / e.sum(axis=-1, keepdims=True)
+        return self._make(s, (self,), lambda g: ((g - (g * s).sum(axis=-1, keepdims=True)) * s,))
 
     # -- fused transformer ops ---------------------------------------------
     # Each is one node whose value is bitwise that of the composed ops it
@@ -331,27 +324,6 @@ class Tensor:
             return r * gx - xr * (r * r * dot / n), _unbroadcast(g * xr, gain.shape)
 
         return self._make(xr * gain.data, (self, gain), backward)
-
-    def rotary(self, cos: np.ndarray, sin: np.ndarray) -> "Tensor":
-        """Rotary position embedding t * cos + rot(t) * sin on the last axis,
-        rot(t) = [-t[half:], t[:half]]; cos and sin are constants."""
-        t = self.data
-        half = t.shape[-1] // 2
-        rest = t.shape[-1] - half
-        out_data = t * cos + np.concatenate([-t[..., half:], t[..., :half]], axis=-1) * sin
-
-        def backward(g):
-            gs = g * sin
-            return (g * cos + np.concatenate([gs[..., rest:], -gs[..., :rest]], axis=-1),)
-
-        return self._make(out_data, (self,), backward)
-
-    def causal_softmax(self, scale: float, mask: np.ndarray) -> "Tensor":
-        """softmax(x * scale + mask) over the last axis, for attention scores;
-        the additive mask (very negative above the diagonal) is a constant."""
-        scale = np.asarray(scale, dtype=self.dtype)
-        s = _softmax_last(self.data * scale + mask)
-        return self._make(s, (self,), lambda g: (_softmax_last_grad(g, s) * scale,))
 
     def gated_mlp(self, w_gate: "Tensor", w_up: "Tensor", w_down: "Tensor") -> "Tensor":
         """The SwiGLU block (silu(x @ w_gate) * (x @ w_up)) @ w_down, for 2-D
@@ -540,6 +512,86 @@ def mix(weights: Tensor, outs) -> Tensor:
         return (gw, *(g * w[..., j : j + 1] for j in range(len(outs))))
 
     return weights._make(out_data, (weights, *outs), backward)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, cos: np.ndarray, sin: np.ndarray,
+              scale: float, mask: np.ndarray) -> Tensor:
+    """Rotary grouped-query attention, as one node.
+
+    q is (batch, seq, heads * head_dim); k and v are (batch, seq, groups *
+    head_dim), and the heads of q are ordered group by group, so one key and
+    value head serves the heads / groups query heads of its group. cos and sin
+    are the (seq, head_dim) rotary tables and mask the additive (seq, seq)
+    causal mask; all three are constants. Per head the context is
+    softmax(rot(q) @ rot(k).T * scale + mask) @ v, with rot(t) = t * cos +
+    [-t[half:], t[:half]] * sin, returned as (batch, seq, heads * head_dim).
+
+    Every value is bitwise that of the rotary, batched matmul and masked
+    softmax ops composed on the (batch, group, head, seq, head_dim) layout.
+    The node keeps the rotated queries and keys, v and the probabilities.
+    """
+    batch, seq, q_dim = q.shape
+    d = cos.shape[-1]
+    groups = k.shape[-1] // d
+    per_group = q_dim // k.shape[-1]
+    half = d // 2
+    # the tables over (seq, group, head, head_dim), the projections' own layout
+    cos, sin = cos[:, None, None, :], sin[:, None, None, :]
+    scale = np.asarray(scale, dtype=q.dtype)
+
+    def rotary(t: np.ndarray, heads: int) -> np.ndarray:
+        # elementwise, so bitwise the same on any layout
+        t = t.reshape(batch, seq, groups, heads, d)
+        rot = np.concatenate([-t[..., half:], t[..., :half]], axis=-1)
+        rot *= sin
+        out = t * cos
+        out += rot
+        return out
+
+    def heads_first(t: np.ndarray) -> np.ndarray:
+        return t.transpose(0, 2, 3, 1, 4)
+
+    qr = rotary(q.data, per_group)
+    kr = rotary(k.data, 1)
+    vh = heads_first(v.data.reshape(batch, seq, groups, 1, d))
+    qh, kh = heads_first(qr), heads_first(kr)
+
+    # the softmax runs in place in the score GEMM's output, so it allocates
+    # no further array of the scores' size
+    p = qh @ kh.swapaxes(-1, -2)
+    p *= scale
+    p += mask
+    # a max is exact in any order, and numpy reduces a short last axis
+    # slowly: take it as the elementwise maxima of the key columns
+    row_max = p[..., 0].copy()
+    for j in range(1, seq):
+        np.maximum(row_max, p[..., j], out=row_max)
+    p -= row_max[..., None]
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    out_data = (p @ vh).transpose(0, 3, 1, 2, 4).reshape(batch, seq, q_dim)
+
+    def rotary_grad(g: np.ndarray, heads: int) -> np.ndarray:
+        # g on (batch, seq, group, head, head_dim); rot's transpose is
+        # [g[half:], -g[:half]]
+        gs = g * sin
+        out = g * cos
+        out += np.concatenate([gs[..., half:], -gs[..., :half]], axis=-1)
+        return out.reshape(batch, seq, groups * heads * d)
+
+    def backward(g):
+        gh = heads_first(g.reshape(batch, seq, groups, per_group, d))
+        dv = (p.swapaxes(-1, -2) @ gh).sum(axis=2, keepdims=True)
+        ds = gh @ vh.swapaxes(-1, -2)
+        ds -= (ds * p).sum(axis=-1, keepdims=True)
+        ds *= p
+        ds *= scale
+        dq = (ds @ kh).transpose(0, 3, 1, 2, 4)
+        dk = (qh.swapaxes(-1, -2) @ ds).sum(axis=2, keepdims=True).transpose(0, 4, 1, 2, 3)
+        return (rotary_grad(dq, per_group), rotary_grad(dk, 1),
+                dv.transpose(0, 3, 1, 2, 4).reshape(v.shape))
+
+    return q._make(out_data, (q, k, v), backward)
 
 
 def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:

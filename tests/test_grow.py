@@ -97,6 +97,14 @@ def test_a_hand_built_map_is_checked_when_built():
         WidthMap(np.array([0, 1, 5]), old_dim=2)
 
 
+def test_maps_compare_by_identity_without_raising():
+    # a field-wise == over the src_index arrays raised ValueError
+    wmap = build_width_map(2, 4)
+    assert (wmap == build_width_map(2, 4)) is False
+    assert (wmap != build_width_map(2, 4)) is True
+    assert (wmap == wmap) is True
+
+
 def test_grouped_head_map_rejects_bad_divisibility():
     with pytest.raises(ValidationError):
         build_grouped_head_map(4, 6, kv_groups=4)

@@ -11,7 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moegrow.tensor import Tensor, _set_madvise_hugepage, concat, mix, no_huge_pages, no_tape
+from moegrow.tensor import (
+    Tensor,
+    _set_madvise_hugepage,
+    attention,
+    concat,
+    mix,
+    no_huge_pages,
+    no_tape,
+)
 
 RNG = np.random.default_rng(7)
 
@@ -246,15 +254,6 @@ def composed_rmsnorm(x, gain, eps):
     return x * ((x * x).mean_last_folded() + eps) ** -0.5 * gain
 
 
-def composed_rotary(t, cos, sin):
-    half = t.shape[-1] // 2
-    return t * cos + concat([-t[..., half:], t[..., :half]], axis=-1) * sin
-
-
-def composed_causal_softmax(x, scale, mask):
-    return (x * scale + mask).softmax_last()
-
-
 def composed_gated_mlp(x, w_gate, w_up, w_down):
     return ((x @ w_gate).silu() * (x @ w_up)) @ w_down
 
@@ -275,9 +274,45 @@ def causal_mask(seq, dtype=np.float64):
     return np.triu(np.full((seq, seq), -1e30, dtype=dtype), k=1)
 
 
-def rotary_tables(seq, width, dtype=np.float64):
-    angles = RNG.uniform(-3, 3, size=(seq, width))
+def rotary_tables(rng, seq, width, dtype=np.float64):
+    angles = rng.uniform(-3, 3, size=(seq, width))
     return np.cos(angles).astype(dtype), np.sin(angles).astype(dtype)
+
+
+def heads_first(t, groups, head_dim):
+    """(batch, seq, groups * heads * head_dim), an array or a Tensor, as
+    (batch, group, head, seq, head_dim)."""
+    batch, seq, width = t.shape
+    return t.reshape(batch, seq, groups, width // (groups * head_dim), head_dim).transpose(
+        (0, 2, 3, 1, 4))
+
+
+def numpy_attention(q, k, v, cos, sin, scale, mask, groups):
+    """Rotate-half rotary, the masked softmax and the per-head GEMMs in plain
+    numpy; a key and value head broadcasts over its group's query heads."""
+    d, half = cos.shape[-1], cos.shape[-1] // 2
+
+    def rotary(t):
+        return t * cos + np.concatenate([-t[..., half:], t[..., :half]], axis=-1) * sin
+
+    qh, kh = rotary(heads_first(q, groups, d)), rotary(heads_first(k, groups, d))
+    z = (qh @ kh.swapaxes(-1, -2)) * np.asarray(scale, dtype=q.dtype) + mask
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    ctx = (e / e.sum(axis=-1, keepdims=True)) @ heads_first(v, groups, d)
+    return ctx.transpose(0, 3, 1, 2, 4).reshape(q.shape)
+
+
+def composed_attention(q, k, v, cos, sin, scale, mask, groups):
+    """The same attention composed from elementary tape ops."""
+    d, half = cos.shape[-1], cos.shape[-1] // 2
+
+    def rotary(t):
+        return t * cos + concat([-t[..., half:], t[..., :half]], axis=-1) * sin
+
+    qh, kh = rotary(heads_first(q, groups, d)), rotary(heads_first(k, groups, d))
+    probs = ((qh @ kh.transpose((0, 1, 2, 4, 3))) * scale + mask).softmax_last()
+    ctx = probs @ heads_first(v, groups, d)
+    return ctx.transpose((0, 3, 1, 2, 4)).reshape(q.shape)
 
 
 @pytest.mark.parametrize("width", [1, 5, 8])
@@ -285,22 +320,6 @@ def test_rmsnorm_grad(width):
     a = RNG.normal(size=(2, 3, width))
     gain = RNG.normal(size=(width,))
     check_grads(lambda x, g: weighted(x.rmsnorm(g, 1e-5), seed=14), [a, gain], tol=1e-6)
-
-
-@pytest.mark.parametrize("width", [2, 3, 6])
-def test_rotary_grad(width):
-    a = RNG.normal(size=(2, 2, 4, width))
-    cos, sin = rotary_tables(4, width)
-    check_grads(lambda x: weighted(x.rotary(cos, sin), seed=15), [a])
-
-
-def test_causal_softmax_grad():
-    a = RNG.normal(size=(2, 3, 5, 5))
-    mask = causal_mask(5)
-    out = Tensor(a).causal_softmax(0.5, mask).data
-    rows, cols = np.triu_indices(5, k=1)
-    assert np.all(out[..., rows, cols] == 0.0)
-    check_grads(lambda x: weighted(x.causal_softmax(0.5, mask), seed=16), [a], tol=1e-6)
 
 
 @pytest.mark.parametrize("lead", [(4,), (2, 3), (2, 1, 3)])
@@ -327,6 +346,60 @@ def test_mix_grad(n_out):
     check_grads(lambda w, *outs: weighted(mix(w, list(outs)), seed=19), [w, *outs])
 
 
+def projections(rng, batch, seq, kv_groups, heads_per_group, head_dim, dtype=np.float64):
+    """q, k and v as the (batch, seq, heads * head_dim) projections."""
+    return [(rng.normal(size=(batch, seq, kv_groups * heads * head_dim)) * 2).astype(dtype)
+            for heads in (heads_per_group, 1, 1)]
+
+
+@pytest.mark.parametrize("kv_groups,heads_per_group,head_dim", [(1, 1, 2), (2, 3, 4), (3, 2, 2)])
+def test_attention_grad(kv_groups, heads_per_group, head_dim):
+    seq = 4
+    qkv = projections(RNG, 2, seq, kv_groups, heads_per_group, head_dim)
+    cos, sin = rotary_tables(RNG, seq, head_dim)
+    mask = causal_mask(seq)
+    check_grads(lambda q, k, v: weighted(attention(q, k, v, cos, sin, 0.5, mask), seed=15),
+                qkv, tol=1e-6)
+
+    # causal: the first position's context reads no later key or value
+    leaves = [Tensor(a) for a in qkv]
+    weighted(attention(*leaves, cos, sin, 0.5, mask)[:, :1], seed=16).backward()
+    assert not leaves[1].grad[:, 1:].any() and not leaves[2].grad[:, 1:].any()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    batch=st.integers(1, 3),
+    seq=st.integers(1, 9),
+    kv_groups=st.integers(1, 3),
+    heads_per_group=st.integers(1, 4),
+    half=st.integers(1, 4),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    seed=st.integers(0, 2**16),
+)
+def test_attention_is_bitwise_plain_numpy_with_the_composed_gradients(
+    batch, seq, kv_groups, heads_per_group, half, dtype, seed
+):
+    rng = np.random.default_rng(seed)
+    head_dim = 2 * half
+    qkv = projections(rng, batch, seq, kv_groups, heads_per_group, head_dim, dtype)
+    cos, sin = rotary_tables(rng, seq, head_dim, dtype)
+    mask, scale = causal_mask(seq, dtype), 1.0 / np.sqrt(head_dim)
+    leaves = [Tensor(a) for a in qkv]
+    out = attention(*leaves, cos, sin, scale, mask)
+    reference = numpy_attention(*qkv, cos, sin, scale, mask, kv_groups)
+    assert out.data.dtype == dtype and out.data.tobytes() == reference.tobytes()
+
+    # the gradients sum in another order than the composed ops' do
+    if dtype == np.float64:
+        composed = [Tensor(a) for a in qkv]
+        weighted(out, seed=17).backward()
+        weighted(composed_attention(*composed, cos, sin, scale, mask, kv_groups),
+                 seed=17).backward()
+        for got, want in zip(leaves, composed):
+            np.testing.assert_allclose(got.grad, want.grad, rtol=1e-9, atol=1e-12)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     lead=st.lists(st.integers(1, 3), min_size=1, max_size=3),
@@ -340,15 +413,6 @@ def test_fused_ops_are_bitwise_the_composed_ops(lead, width, seed):
     gain = rng.normal(size=(width,)).astype(np.float32)
     fused = Tensor(x).rmsnorm(Tensor(gain), 1e-5).data
     assert fused.tobytes() == composed_rmsnorm(Tensor(x), Tensor(gain), 1e-5).data.tobytes()
-
-    cos, sin = rotary_tables(shape[-2] if len(shape) > 1 else 1, width, np.float32)
-    fused = Tensor(x).rotary(cos, sin).data
-    assert fused.tobytes() == composed_rotary(Tensor(x), cos, sin).data.tobytes()
-
-    scores = rng.normal(size=tuple(lead) + (width, width)).astype(np.float32) * 3
-    mask, scale = causal_mask(width, np.float32), 1.0 / np.sqrt(width)
-    fused = Tensor(scores).causal_softmax(scale, mask).data
-    assert fused.tobytes() == composed_causal_softmax(Tensor(scores), scale, mask).data.tobytes()
 
     # the gated MLP and the expert mix, in float32 for the forward bytes and in
     # float64 for the gradients, which only sum in another order
