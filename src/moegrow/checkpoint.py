@@ -7,12 +7,19 @@ binary32 data. Round-trips are bitwise exact. The header's ``__metadata__``
 entry records a digest of the config document, so tensors and a config
 from different saves do not load as one checkpoint.
 
+The config fixes the file layout: tensors in sorted-name order, packed from
+byte 0, each entry ``{"dtype": "f32", "shape": [...], "data_offsets": [begin,
+end]}``. A load accepts only those entries, value for value and type for
+type, so a header no save writes (another order, a gap, an overlap, an extra
+key, ``false`` or ``0.0`` for 0) is rejected by the tensor it first differs at.
+
 ROLES names the axes of every tensor role; tensor shapes, width growth,
 upcycling and parameter counts are all derived from it.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -215,6 +222,23 @@ def _config_digest(config_doc: dict) -> str:
     return hashlib.blake2b(canonical.encode("utf-8"), digest_size=16).hexdigest()
 
 
+@functools.lru_cache(maxsize=32)
+def _file_layout(config: ModelConfig, moe: MoEConfig | None, spell=int
+                 ) -> tuple[dict[str, dict], dict[str, tuple[int, int, tuple[int, ...]]]]:
+    """Header entry, and (begin, end, shape), of every tensor a config
+    implies, both in file order: names sorted, float32 data packed from
+    byte 0. ``spell`` writes the integers of an entry. Cached, so a save or
+    a load does not lay a config out again; no caller changes the result."""
+    entries, places, begin = {}, {}, 0
+    for name, shape in sorted(tensor_shapes(config, moe).items()):
+        end = begin + 4 * math.prod(shape)
+        entries[name] = {"dtype": _DTYPE_TAG, "shape": list(map(spell, shape)),
+                         "data_offsets": [spell(begin), spell(end)]}
+        places[name] = (begin, end, shape)
+        begin = end
+    return entries, places
+
+
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     """Write a checkpoint directory; load(save(c)) is bitwise identical to c.
 
@@ -230,24 +254,14 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     if ckpt.moe is not None:
         config_doc["moe"] = ckpt.moe.to_dict()
 
-    names = sorted(ckpt.tensors)
-    header: dict[str, dict] = {_METADATA: {"config_digest": _config_digest(config_doc)}}
-    offset = 0
-    for name in names:
-        arr = ckpt.tensors[name]
-        nbytes = arr.size * 4
-        header[name] = {
-            "dtype": _DTYPE_TAG,
-            "shape": list(arr.shape),
-            "data_offsets": [offset, offset + nbytes],
-        }
-        offset += nbytes
+    entries, _ = _file_layout(ckpt.config, ckpt.moe)
+    header = {_METADATA: {"config_digest": _config_digest(config_doc)}, **entries}
     header_bytes = json.dumps(header).encode("utf-8")
 
     def write_tensors(fh) -> None:
         fh.write(struct.pack("<Q", len(header_bytes)))
         fh.write(header_bytes)
-        for name in names:
+        for name in entries:
             fh.write(memoryview(np.ascontiguousarray(ckpt.tensors[name], "<f4")).cast("B"))
 
     config_bytes = (json.dumps(config_doc, indent=2) + "\n").encode("utf-8")
@@ -270,9 +284,12 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
 def load_checkpoint(path: str | Path) -> Checkpoint:
     """Read a checkpoint directory, validating structure and values.
 
-    The tensor data is read once into one buffer; every tensor is a
-    read-only view of it. A config digest in the tensor header must match
-    config.json; a header written without one loads as before.
+    Every tensor entry of the header must be, type for type, the one a save
+    of config.json writes; else a CheckpointError names the first tensor,
+    in file order, whose entry differs. The tensor data is read once into
+    one buffer; every tensor is a read-only view of it, and bytes after the
+    last tensor are never read. A config digest in the tensor header must
+    match config.json; a header written without one loads as before.
     """
     path = Path(path)
     config_path = path / CONFIG_FILE
@@ -301,8 +318,11 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         (header_len,) = struct.unpack("<Q", head)
         if 8 + header_len > file_size:
             raise CheckpointError(f"truncated {TENSORS_FILE}: header extends past end of file")
+        # Integers parse as their decimal bytes, a form no other JSON value
+        # takes, and the expected entries are spelled the same way, so the
+        # comparison below is type-exact: false and 0.0 do not pass for 0.
         try:
-            header = json.loads(fh.read(header_len).decode("utf-8"))
+            header = json.loads(fh.read(header_len).decode("utf-8"), parse_int=str.encode)
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"unparseable tensor header: {exc}") from exc
         if not isinstance(header, dict):
@@ -316,37 +336,20 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
                 f"{CONFIG_FILE} implies {expected} tensors, {TENSORS_FILE} holds {len(header)}"
             )
 
-        data_size = file_size - 8 - header_len
-        spans: dict[str, tuple[int, int, tuple[int, ...]]] = {}
-        for name, meta in header.items():
-            if not isinstance(meta, dict):
-                raise CheckpointError(f"header entry of tensor {name!r} must be a JSON object")
-            if meta.get("dtype") != _DTYPE_TAG:
-                raise CheckpointError(f"tensor {name!r} has unsupported dtype {meta.get('dtype')!r}")
-            shape, offsets = meta.get("shape"), meta.get("data_offsets")
-            if not (_is_count_list(shape) and _is_count_list(offsets) and len(offsets) == 2):
-                raise CheckpointError(
-                    f"tensor {name!r} needs a shape and two data_offsets, "
-                    "as lists of non-negative integers"
-                )
-            shape = tuple(shape)
-            begin, end = offsets
-            if not 0 <= begin <= end <= data_size:
-                raise CheckpointError(f"truncated {TENSORS_FILE}: tensor {name!r} data out of bounds")
-            if end - begin != math.prod(shape) * 4:
-                raise CheckpointError(f"tensor {name!r} byte length does not match shape {shape}")
-            spans[name] = (begin, end, shape)
-        _check_packed(spans)
-
-        # bytes after the last tensor are never read
-        data = np.empty(max((end for _, end, _ in spans.values()), default=0), dtype=np.uint8)
-        if fh.readinto(memoryview(data)) != data.size:
+        entries, places = _file_layout(config, moe, spell=b"%d".__mod__)
+        if header != entries:
+            name, want = next((name, want) for name, want in entries.items() if header.get(name) != want)
+            raise CheckpointError(
+                f"the {TENSORS_FILE} header entry of tensor {name!r} is not the one a save "
+                f"writes for {CONFIG_FILE}: {json.dumps(want, default=int)}"
+            )
+        _, size, _ = next(reversed(places.values()))
+        data = np.empty(size // 4, dtype="<f4")
+        if fh.readinto(data) != size:
             raise CheckpointError(f"truncated {TENSORS_FILE}: data ends early")
 
-    tensors = {
-        name: np.frombuffer(data, dtype="<f4", count=math.prod(shape), offset=begin).reshape(shape)
-        for name, (begin, _, shape) in spans.items()
-    }
+    tensors = {name: data[begin // 4 : end // 4].reshape(shape)
+               for name, (begin, end, shape) in places.items()}
     ckpt = Checkpoint(config=config, tensors=tensors, moe=moe).freeze()
     if metadata.get("config_digest", digest) != digest:
         raise CheckpointError(
@@ -354,25 +357,3 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             "(a save interrupted between its two renames?)"
         )
     return ckpt
-
-
-def _check_packed(spans: dict[str, tuple[int, int, tuple[int, ...]]]) -> None:
-    """Reject tensors whose bytes overlap, which would load as aliases, and
-    bytes before or between tensors that no tensor reads, as a save never
-    writes them."""
-    prev_name, prev_end = None, 0
-    for name, (begin, end, _) in sorted(spans.items(), key=lambda item: item[1][:2]):
-        if begin == end:
-            continue
-        if begin < prev_end:
-            raise CheckpointError(f"tensors {prev_name!r} and {name!r} overlap in {TENSORS_FILE}")
-        if begin > prev_end:
-            after = f"after tensor {prev_name!r}" if prev_name else "before the first tensor"
-            raise CheckpointError(
-                f"{begin - prev_end} unread bytes {after} in {TENSORS_FILE}, at tensor {name!r}"
-            )
-        prev_name, prev_end = name, end
-
-
-def _is_count_list(value) -> bool:
-    return isinstance(value, list) and all(type(v) is int and v >= 0 for v in value)

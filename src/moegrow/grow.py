@@ -118,6 +118,8 @@ def expand_in_axis(w: np.ndarray, wmap: WidthMap) -> np.ndarray:
     Feeding the result an input duplicated per the map reproduces the
     original product: each copy contributes its share of the original row.
     """
+    if w.ndim != 2:
+        raise ValidationError(f"expand_in_axis grows a matrix, got shape {w.shape}")
     if w.shape[0] != wmap.old_dim:
         raise ValidationError(f"input axis {w.shape[0]} != map old_dim {wmap.old_dim}")
     mult = wmap.multiplicity[wmap.src_index].astype(w.dtype)
@@ -217,6 +219,8 @@ def depth_source_indices(source_layers: int, target_layers: int, mode: str) -> l
     each source layer in consecutive runs (floor(l * L1 / L2)), keeping the
     source order locally intact.
     """
+    if source_layers < 1:
+        raise ValidationError(f"the source needs at least one layer, got {source_layers}")
     if target_layers < source_layers:
         raise ValidationError(f"cannot shrink depth {source_layers} -> {target_layers}")
     if mode == "stack":

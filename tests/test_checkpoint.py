@@ -1,5 +1,8 @@
 import dataclasses
+import hashlib
 import json
+import math
+import re
 import struct
 import tracemalloc
 
@@ -475,7 +478,7 @@ def test_load_rejects_overlapping_tensors(micro_ckpt, tmp_path, shift):
 
     save_checkpoint(micro_ckpt, tmp_path)
     _edit_header(tmp_path, alias)
-    with pytest.raises(CheckpointError, match="overlap"):
+    with pytest.raises(CheckpointError, match="'unembed'"):
         load_checkpoint(tmp_path)
 
 
@@ -497,7 +500,7 @@ def test_load_rejects_unread_bytes_before_or_between_tensors(micro_ckpt, tmp_pat
     (tmp_path / "tensors.bin").write_bytes(
         struct.pack("<Q", len(new_header)) + new_header + data[:cut] + bytes(4) + data[cut:]
     )
-    with pytest.raises(CheckpointError, match="unread bytes"):
+    with pytest.raises(CheckpointError, match=re.escape(repr(order[at]))):
         load_checkpoint(tmp_path)
     # bytes after the last tensor are still ignored
     (tmp_path / "tensors.bin").write_bytes(blob + bytes(4))
@@ -571,3 +574,78 @@ def test_a_malformed_metadata_entry_is_a_checkpoint_error(micro_ckpt, tmp_path):
     _edit_header(tmp_path, lambda header: dict(header, __metadata__=[]))
     with pytest.raises(CheckpointError, match="__metadata__"):
         load_checkpoint(tmp_path)
+
+
+def _write_reversed_but_packed(path, ckpt):
+    # the tensors packed in reverse name order: a layout a reader of the
+    # offsets alone would accept, but not the one a save writes
+    blob = (path / "tensors.bin").read_bytes()
+    (n,) = struct.unpack("<Q", blob[:8])
+    header = json.loads(blob[8 : 8 + n])
+    reordered, data, offset = {"__metadata__": header.pop("__metadata__")}, [], 0
+    for name in sorted(header, reverse=True):
+        raw = ckpt.tensors[name].astype("<f4").tobytes()
+        reordered[name] = dict(header[name], data_offsets=[offset, offset + len(raw)])
+        data.append(raw)
+        offset += len(raw)
+    new_header = json.dumps(reordered).encode()
+    (path / "tensors.bin").write_bytes(struct.pack("<Q", len(new_header)) + new_header + b"".join(data))
+
+
+def _write_long_first_offset(path):
+    # a number int() refuses to parse by default, so json.dumps cannot write it
+    blob = (path / "tensors.bin").read_bytes()
+    (n,) = struct.unpack("<Q", blob[:8])
+    first = b'"data_offsets": [0, '  # embed's, the one entry that begins at 0
+    assert blob[8 : 8 + n].count(first) == 1
+    header = blob[8 : 8 + n].replace(first, b'"data_offsets": [' + b"9" * 5000 + b", ")
+    (path / "tensors.bin").write_bytes(struct.pack("<Q", len(header)) + header + blob[8 + n :])
+
+
+NOT_WHAT_A_SAVE_WRITES = {
+    "reversed but packed order": _write_reversed_but_packed,
+    "an extra key": lambda path, ckpt: _edit_header(
+        path, _edit_entry(lambda e: e.update(note="made elsewhere"))),
+    "false for offset 0": lambda path, ckpt: _edit_header(
+        path, _edit_entry(lambda e: e.update(data_offsets=[False, e["data_offsets"][1]]))),
+    "an offset of 5000 digits": lambda path, ckpt: _write_long_first_offset(path),
+    "a name the config does not imply": lambda path, ckpt: _edit_header(
+        path, lambda h: {("embedding" if k == "embed" else k): v for k, v in h.items()}),
+    "a wrong shape of the same size": lambda path, ckpt: _edit_header(
+        path, _edit_entry(lambda e: e.update(shape=e["shape"][::-1]))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_WHAT_A_SAVE_WRITES))
+def test_load_accepts_only_the_header_a_save_writes(micro_ckpt, tmp_path, case):
+    # embed, first in file order, is the tensor where each header differs
+    save_checkpoint(micro_ckpt, tmp_path)
+    NOT_WHAT_A_SAVE_WRITES[case](tmp_path, micro_ckpt)
+    with pytest.raises(CheckpointError, match="'embed'"):
+        load_checkpoint(tmp_path)
+
+
+def _arange_checkpoint(config, moe=None):
+    tensors, start = {}, 0
+    for name, shape in tensor_shapes(config, moe).items():
+        size = math.prod(shape)
+        tensors[name] = np.arange(start, start + size, dtype=np.float32).reshape(shape)
+        start += size
+    return Checkpoint(config=config, tensors=tensors, moe=moe)
+
+
+@pytest.mark.parametrize("routed, digests", [
+    (False, {"tensors.bin": "610017df6763e6c2bde2ac67ac7b937f",
+             "config.json": "a2ae51b2ab9777f3ab913ad5259e885b"}),
+    (True, {"tensors.bin": "96a668264177b384931f7449694fc0d2",
+            "config.json": "d1358fca4f230d9f630429179d8c1936"}),
+])
+def test_saved_bytes_are_pinned(micro_config, moe_small, tmp_path, routed, digests):
+    # arange values keep the digests off the random stream; a change to the
+    # file format shows here before any reader meets it
+    ckpt = _arange_checkpoint(micro_config, moe_small if routed else None)
+    save_checkpoint(ckpt, tmp_path)
+    for name, digest in digests.items():
+        assert hashlib.blake2b((tmp_path / name).read_bytes(), digest_size=16).hexdigest() == digest
+    loaded = load_checkpoint(tmp_path)
+    assert all(loaded.tensors[k].tobytes() == v.tobytes() for k, v in ckpt.tensors.items())

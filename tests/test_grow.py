@@ -194,6 +194,13 @@ def test_axis_expansion_shape_errors():
         expand_in_axis(RNG.normal(size=(9, 2)), wmap.per_element(2))
 
 
+@pytest.mark.parametrize("shape", [(2,), (2, 3, 4)])
+def test_expand_in_axis_rejects_anything_but_a_matrix(shape):
+    # a vector once came back as a (4, 4) matrix through the column broadcast
+    with pytest.raises(ValidationError, match="matrix"):
+        expand_in_axis(np.ones(shape), build_width_map(2, 4))
+
+
 # -- whole-model width growth ------------------------------------------------
 
 
@@ -512,6 +519,14 @@ def test_depth_errors():
         depth_source_indices(4, 3, "stack")
     with pytest.raises(ValidationError):
         depth_source_indices(2, 4, "repeat")
+
+
+@pytest.mark.parametrize("mode", ["stack", "interpolate"])
+@pytest.mark.parametrize("source", [0, -1])
+def test_depth_needs_a_source_layer(source, mode):
+    # stack once divided by zero here
+    with pytest.raises(ValidationError, match="at least one layer"):
+        depth_source_indices(source, 2, mode)
 
 
 def test_grow_depth_copies_whole_layers(micro_ckpt, micro_config):
