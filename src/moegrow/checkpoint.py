@@ -19,7 +19,6 @@ upcycling and parameter counts are all derived from it.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import itertools
 import json
@@ -222,21 +221,22 @@ def _config_digest(config_doc: dict) -> str:
     return hashlib.blake2b(canonical.encode("utf-8"), digest_size=16).hexdigest()
 
 
-@functools.lru_cache(maxsize=32)
-def _file_layout(config: ModelConfig, moe: MoEConfig | None, spell=int
-                 ) -> tuple[dict[str, dict], dict[str, tuple[int, int, tuple[int, ...]]]]:
-    """Header entry, and (begin, end, shape), of every tensor a config
-    implies, both in file order: names sorted, float32 data packed from
-    byte 0. ``spell`` writes the integers of an entry. Cached, so a save or
-    a load does not lay a config out again; no caller changes the result."""
-    entries, places, begin = {}, {}, 0
-    for name, shape in sorted(tensor_shapes(config, moe).items()):
-        end = begin + 4 * math.prod(shape)
-        entries[name] = {"dtype": _DTYPE_TAG, "shape": list(map(spell, shape)),
-                         "data_offsets": [spell(begin), spell(end)]}
-        places[name] = (begin, end, shape)
+def _file_layout(shapes: Mapping[str, tuple[int, ...]]) -> dict[str, dict]:
+    """Header entry of every tensor in a name -> shape map, in file order:
+    names sorted, float32 data packed from byte 0."""
+    entries, begin = {}, 0
+    for name in sorted(shapes):
+        end = begin + 4 * math.prod(shapes[name])
+        entries[name] = {"dtype": _DTYPE_TAG, "shape": list(shapes[name]), "data_offsets": [begin, end]}
         begin = end
-    return entries, places
+    return entries
+
+
+def _same_entries(header: dict, entries: dict[str, dict]) -> bool:
+    """Whether parsed header entries are the layout's entries type for type:
+    Python takes a JSON false or 0.0 as equal to 0."""
+    return header == entries and all(type(n) is int for entry in header.values()
+                                     for n in (*entry["shape"], *entry["data_offsets"]))
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
@@ -254,7 +254,8 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     if ckpt.moe is not None:
         config_doc["moe"] = ckpt.moe.to_dict()
 
-    entries, _ = _file_layout(ckpt.config, ckpt.moe)
+    # validate() has checked every shape against the config
+    entries = _file_layout({name: arr.shape for name, arr in ckpt.tensors.items()})
     header = {_METADATA: {"config_digest": _config_digest(config_doc)}, **entries}
     header_bytes = json.dumps(header).encode("utf-8")
 
@@ -318,12 +319,9 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         (header_len,) = struct.unpack("<Q", head)
         if 8 + header_len > file_size:
             raise CheckpointError(f"truncated {TENSORS_FILE}: header extends past end of file")
-        # Integers parse as their decimal bytes, a form no other JSON value
-        # takes, and the expected entries are spelled the same way, so the
-        # comparison below is type-exact: false and 0.0 do not pass for 0.
         try:
-            header = json.loads(fh.read(header_len).decode("utf-8"), parse_int=str.encode)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            header = json.loads(fh.read(header_len).decode("utf-8"))
+        except ValueError as exc:  # bad UTF-8 or JSON, or an integer too long for int()
             raise CheckpointError(f"unparseable tensor header: {exc}") from exc
         if not isinstance(header, dict):
             raise CheckpointError("tensor header must be a JSON object")
@@ -336,20 +334,23 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
                 f"{CONFIG_FILE} implies {expected} tensors, {TENSORS_FILE} holds {len(header)}"
             )
 
-        entries, places = _file_layout(config, moe, spell=b"%d".__mod__)
-        if header != entries:
-            name, want = next((name, want) for name, want in entries.items() if header.get(name) != want)
+        entries = _file_layout(tensor_shapes(config, moe))
+        if not _same_entries(header, entries):
+            name = next(name for name, want in entries.items()
+                        if not _same_entries({name: header.get(name)}, {name: want}))
             raise CheckpointError(
                 f"the {TENSORS_FILE} header entry of tensor {name!r} is not the one a save "
-                f"writes for {CONFIG_FILE}: {json.dumps(want, default=int)}"
+                f"writes for {CONFIG_FILE}: {json.dumps(entries[name])}"
             )
-        _, size, _ = next(reversed(places.values()))
+        _, size = next(reversed(entries.values()))["data_offsets"]
         data = np.empty(size // 4, dtype="<f4")
         if fh.readinto(data) != size:
             raise CheckpointError(f"truncated {TENSORS_FILE}: data ends early")
 
-    tensors = {name: data[begin // 4 : end // 4].reshape(shape)
-               for name, (begin, end, shape) in places.items()}
+    tensors = {}
+    for name, entry in entries.items():
+        begin, end = entry["data_offsets"]
+        tensors[name] = data[begin // 4 : end // 4].reshape(entry["shape"])
     ckpt = Checkpoint(config=config, tensors=tensors, moe=moe).freeze()
     if metadata.get("config_digest", digest) != digest:
         raise CheckpointError(

@@ -224,6 +224,16 @@ def _edit_config(path, edit):
     (path / "config.json").write_text(json.dumps(edit(doc)))
 
 
+def _write_long_first_offset(path):
+    # a number int() refuses to parse by default, so json.dumps cannot write it
+    blob = (path / "tensors.bin").read_bytes()
+    (n,) = struct.unpack("<Q", blob[:8])
+    first = b'"data_offsets": [0, '  # embed's, the one entry that begins at 0
+    assert blob[8 : 8 + n].count(first) == 1
+    header = blob[8 : 8 + n].replace(first, b'"data_offsets": [' + b"9" * 5000 + b", ")
+    (path / "tensors.bin").write_bytes(struct.pack("<Q", len(header)) + header + blob[8 + n :])
+
+
 MALFORMED = {
     "header is a list": lambda p: _edit_header(p, lambda h: []),
     "entry without shape": lambda p: _edit_header(p, _edit_entry(lambda e: e.pop("shape"))),
@@ -237,6 +247,7 @@ MALFORMED = {
     "one offset": lambda p: _edit_header(
         p, _edit_entry(lambda e: e.update(data_offsets=e["data_offsets"][:1]))
     ),
+    "an offset of 5000 digits": _write_long_first_offset,
 }
 
 
@@ -592,23 +603,12 @@ def _write_reversed_but_packed(path, ckpt):
     (path / "tensors.bin").write_bytes(struct.pack("<Q", len(new_header)) + new_header + b"".join(data))
 
 
-def _write_long_first_offset(path):
-    # a number int() refuses to parse by default, so json.dumps cannot write it
-    blob = (path / "tensors.bin").read_bytes()
-    (n,) = struct.unpack("<Q", blob[:8])
-    first = b'"data_offsets": [0, '  # embed's, the one entry that begins at 0
-    assert blob[8 : 8 + n].count(first) == 1
-    header = blob[8 : 8 + n].replace(first, b'"data_offsets": [' + b"9" * 5000 + b", ")
-    (path / "tensors.bin").write_bytes(struct.pack("<Q", len(header)) + header + blob[8 + n :])
-
-
 NOT_WHAT_A_SAVE_WRITES = {
     "reversed but packed order": _write_reversed_but_packed,
     "an extra key": lambda path, ckpt: _edit_header(
         path, _edit_entry(lambda e: e.update(note="made elsewhere"))),
     "false for offset 0": lambda path, ckpt: _edit_header(
         path, _edit_entry(lambda e: e.update(data_offsets=[False, e["data_offsets"][1]]))),
-    "an offset of 5000 digits": lambda path, ckpt: _write_long_first_offset(path),
     "a name the config does not imply": lambda path, ckpt: _edit_header(
         path, lambda h: {("embedding" if k == "embed" else k): v for k, v in h.items()}),
     "a wrong shape of the same size": lambda path, ckpt: _edit_header(
