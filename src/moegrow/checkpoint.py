@@ -144,8 +144,11 @@ class Checkpoint:
         which were checked when built; a frozen checkpoint passed all of them
         when it was frozen and returns at once. An array held under several
         names is scanned once."""
-        if self._frozen:
-            return
+        if not self._frozen:
+            self._validate(scanned=set())
+
+    def _validate(self, scanned: set[int]) -> None:
+        """validate(), minus the finiteness scan of arrays whose id is in scanned."""
         expected = tensor_shapes(self.config, self.moe)
         missing = sorted(set(expected) - set(self.tensors))
         if missing:
@@ -154,7 +157,6 @@ class Checkpoint:
         extra = sorted(set(self.tensors) - set(expected))
         if extra:
             raise ValidationError(f"unknown tensor name {extra[0]!r}")
-        scanned: set[int] = set()
         for name, shape in expected.items():
             arr = self.tensors[name]
             if arr.dtype != np.float32:
@@ -171,10 +173,20 @@ class Checkpoint:
         """Validate, then make the arrays and the tensor mapping read-only.
 
         The frozen checkpoint is a value: transforms share its arrays
-        instead of copying them, and nothing validates it again.
+        instead of copying them, and nothing validates it again. A transform
+        freezes its output with ``_freeze_from(input)``, which scans for
+        non-finite values only the arrays that the output does not share
+        with its frozen input.
         """
+        return self._freeze_from(None)
+
+    def _freeze_from(self, source: "Checkpoint | None") -> "Checkpoint":
+        """freeze(), minus the finiteness scan of every array that is one of
+        the frozen checkpoint source's own arrays: source scanned them when it
+        froze. Names, dtypes and shapes are checked all the same."""
         if not self._frozen:
-            self.validate()
+            trusted = source is not None and source._frozen
+            self._validate({id(arr) for arr in source.tensors.values()} if trusted else set())
             for arr in self.tensors.values():
                 arr.flags.writeable = False
             self.tensors = MappingProxyType(dict(self.tensors))

@@ -32,7 +32,7 @@ def _read_json(path: str) -> dict:
         raise CheckpointError(f"file not found: {path}")
     try:
         return json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValidationError(f"unparseable JSON in {path}: {exc}") from exc
 
 

@@ -178,10 +178,19 @@ def _expand_width(ckpt: Checkpoint, target: ModelConfig, use_donors: bool) -> Ch
         .per_element(src.head_dim),
     }
     axes = tensor_axes(src, ckpt.moe)
+    grown: dict[tuple, np.ndarray] = {}
+
+    def grow(expand, axis: str, *arrays: np.ndarray) -> np.ndarray:
+        # once per distinct input (and donor) array: experts that hold one
+        # array before growth hold one array after it
+        key = (expand, axis, *map(id, arrays))
+        if key not in grown:
+            grown[key] = expand(arrays[0], maps[axis], *arrays[1:])
+        return grown[key]
 
     # input axes first (pure splitting): a matrix whose first axis grows
     split = {
-        name: expand_in_axis(ckpt.tensors[name], maps[ax[0]])
+        name: grow(expand_in_axis, ax[0], ckpt.tensors[name])
         if len(ax) == 2 and ax[0] in maps else ckpt.tensors[name]
         for name, ax in axes.items()
     }
@@ -191,14 +200,14 @@ def _expand_width(ckpt: Checkpoint, target: ModelConfig, use_donors: bool) -> Ch
     for name, w in split.items():
         last = axes[name][-1]
         if last in maps:
-            donor = None
+            donors = ()
             if use_donors and w.ndim == 2 and name.startswith("layers."):
                 _, i, role = name.split(".", 2)
                 if int(i) + 1 < src.n_layers:
-                    donor = split[f"layers.{int(i) + 1}.{role}"]
-            w = expand_out_axis(w, maps[last], donor)
+                    donors = (split[f"layers.{int(i) + 1}.{role}"],)
+            w = grow(expand_out_axis, last, w, *donors)
         tensors[name] = w
-    return Checkpoint(config=target, tensors=tensors, moe=ckpt.moe).freeze()
+    return Checkpoint(config=target, tensors=tensors, moe=ckpt.moe)._freeze_from(ckpt)
 
 
 def fpi_expand(ckpt: Checkpoint, target: ModelConfig) -> Checkpoint:
@@ -232,7 +241,8 @@ def depth_source_indices(source_layers: int, target_layers: int, mode: str) -> l
 
 def grow_depth(ckpt: Checkpoint, target_layers: int, mode: str) -> Checkpoint:
     """Repeat whole layers to reach target_layers. The output shares every
-    array of a frozen input; an unfrozen one is copied once first."""
+    array of a frozen input and scans none of them for non-finite values
+    again; an unfrozen input is copied and scanned once first."""
     ckpt = ckpt.snapshot()
     sources = depth_source_indices(ckpt.config.n_layers, target_layers, mode)
     target = dataclasses.replace(ckpt.config, n_layers=target_layers)
@@ -243,7 +253,7 @@ def grow_depth(ckpt: Checkpoint, target_layers: int, mode: str) -> Checkpoint:
             _, i, role = name.split(".", 2)
             source = f"layers.{sources[int(i)]}.{role}"
         tensors[name] = ckpt.tensors[source]
-    return Checkpoint(config=target, tensors=tensors, moe=ckpt.moe).freeze()
+    return Checkpoint(config=target, tensors=tensors, moe=ckpt.moe)._freeze_from(ckpt)
 
 
 @dataclass(frozen=True)

@@ -100,7 +100,8 @@ def upcycle(dense: Checkpoint, moe_cfg: MoEConfig, seed: int) -> Checkpoint:
     per-layer router is drawn from a zero-mean normal with standard deviation
     moe_cfg.router_init_std. Every tensor but the routers is the frozen dense
     input's own read-only array, shared: the experts of a layer all hold the
-    dense MLP's arrays, and training copies what it updates.
+    dense MLP's arrays, and training copies what it updates. Only the new
+    routers are scanned for non-finite values.
     """
     if dense.moe is not None:
         raise ValidationError("checkpoint already has routed expert layers")
@@ -116,4 +117,4 @@ def upcycle(dense: Checkpoint, moe_cfg: MoEConfig, seed: int) -> Checkpoint:
             tensors[name] = dense.tensors[f"{layer}.mlp.{role.split('.', 1)[1]}"]
         else:
             tensors[name] = dense.tensors[name]
-    return Checkpoint(config=cfg, tensors=tensors, moe=moe_cfg).freeze()
+    return Checkpoint(config=cfg, tensors=tensors, moe=moe_cfg)._freeze_from(dense)

@@ -423,6 +423,17 @@ def test_validate_scans_once_at_freeze_and_never_after(micro_ckpt, monkeypatch):
     assert scans == []
 
 
+def test_only_a_frozen_checkpoint_spares_its_arrays_the_finiteness_scan(micro_ckpt, monkeypatch):
+    ckpt = thawed(micro_ckpt)
+    ckpt.tensors["layers.0.mlp.w_up"][0, 0] = np.nan
+    shared = Checkpoint(config=ckpt.config, tensors=dict(ckpt.tensors))
+    with pytest.raises(ValidationError, match="layers.0.mlp.w_up"):
+        shared._freeze_from(ckpt)
+    scans = count_scans(monkeypatch)
+    Checkpoint(config=micro_ckpt.config, tensors=dict(micro_ckpt.tensors))._freeze_from(micro_ckpt)
+    assert scans == []
+
+
 def test_freeze_rejects_non_finite_values_and_leaves_the_checkpoint_unfrozen(micro_ckpt):
     ckpt = thawed(micro_ckpt)
     ckpt.tensors["layers.1.attn.wo"][1, 0] = np.inf

@@ -319,19 +319,27 @@ TRAIN = ["train", "--in", "{ws}/dense", "--data", "{ws}/data.u32", "--config", "
     (VERIFY + ["--tol=-1e-5"], None, 1),
     (VERIFY + ["--probe-len", "0"], None, 1),
     (VERIFY + ["--probe-len", "1"], None, 1),
+    (["init", "--config", "{ws}/latin.json", "--seed", "0", "--out", "{ws}/x"], None, 1),
+    (["grow", "--in", "{ws}/dense", "--plan", "{ws}/latin.json", "--out", "{ws}/x"], None, 1),
+    (["train", "--in", "{ws}/dense", "--data", "{ws}/data.u32", "--config", "{ws}/latin.json",
+      "--out", "{ws}/x"], None, 1),
+    (["savings", "--plan", "{ws}/latin.json"], None, 1),
 ], ids=["header-list", "config-list", "moe-list", "missing-tokens", "partial-token",
         "config-from-another-save", "train-config-list", "plan-number", "plan-not-json",
         "savings-plan-not-json", "synth-seed-negative", "init-seed-negative",
         "upcycle-seed-negative", "verify-seed-negative", "train-seed-negative",
         "train-seed-float", "train-seed-bool", "train-steps-float", "model-bias-string",
         "eval-every-zero", "init-std-negative", "init-std-nan", "init-std-inf",
-        "verify-tol-nan", "verify-tol-negative", "verify-probe-len-0", "verify-probe-len-1"])
+        "verify-tol-nan", "verify-tol-negative", "verify-probe-len-0", "verify-probe-len-1",
+        "init-config-not-utf8", "grow-plan-not-utf8", "train-config-not-utf8",
+        "savings-plan-not-utf8"])
 def test_malformed_input_exits_with_an_error_line(workspace, capsys, argv, break_input, code):
     run(["init", "--config", workspace / "config.json", "--seed", 0, "--out", workspace / "dense"])
     save_tokens(workspace / "data.u32", np.arange(40) % 16)
     (workspace / "list.json").write_text("[]")
     (workspace / "number.json").write_text("5")
     (workspace / "broken.json").write_text("{not json")
+    (workspace / "latin.json").write_bytes(b"\xff\xfe")
     if break_input is not None:
         break_input(workspace)
     capsys.readouterr()

@@ -31,6 +31,7 @@ from moegrow import (
     verify_preservation,
 )
 from moegrow.checkpoint import tensor_axes
+from test_checkpoint import count_scans, thawed
 
 RNG = np.random.default_rng(21)
 
@@ -322,6 +323,10 @@ def test_upcycling_commutes_with_scale_up(n_layers, kv_groups, head_growth, mlp_
     grown = scale_up(routed, plan)
     expected = upcycle(scale_up(dense, plan), moe, seed=seed)
     assert grown.moe == moe and list(grown.tensors) == list(expected.tensors)
+    for name, arr in grown.tensors.items():  # one array per (layer, role), as upcycled
+        layer, _, role = name.partition(".moe.expert.")
+        if role:
+            assert arr is grown.tensors[f"{layer}.moe.expert.0.{role.split('.', 1)[1]}"], name
     hidden = build_width_map(src.hidden_dim, target.hidden_dim)
     sources = depth_source_indices(src.n_layers, target.n_layers, depth_mode)
     for name, arr in grown.tensors.items():
@@ -665,12 +670,6 @@ def test_verify_preservation_reports_what_taped_graphs_give(micro_ckpt, micro_co
 # -- frozen inputs are shared, unfrozen ones copied once -----------------------
 
 
-def thawed(ckpt: Checkpoint) -> Checkpoint:
-    """An unfrozen checkpoint holding writable copies of ckpt's arrays."""
-    tensors = {name: arr.copy() for name, arr in ckpt.tensors.items()}
-    return Checkpoint(config=ckpt.config, tensors=tensors, moe=ckpt.moe)
-
-
 TRANSFORMS = {
     "fpi": lambda ck: fpi_expand(ck, doubled(ck.config)),
     "aki": lambda ck: aki_expand(ck, doubled(ck.config)),
@@ -746,3 +745,22 @@ def test_a_non_finite_value_in_an_unfrozen_input_fails_every_transform(micro_ckp
     ckpt.tensors[name][0] = np.nan
     with pytest.raises(ValidationError, match="non-finite"):
         TRANSFORMS[transform](ckpt)
+
+
+# -- a transform scans only the arrays it creates ------------------------------
+
+
+@pytest.mark.parametrize("transform, routed", CASES)
+def test_a_transform_of_a_frozen_input_scans_each_array_it_creates_once(micro_ckpt, transform,
+                                                                        routed, monkeypatch):
+    src = transform_input(micro_ckpt, routed)
+    scans = count_scans(monkeypatch)
+    out = TRANSFORMS[transform](src)
+    made = {id(arr) for arr in out.tensors.values()} - {id(arr) for arr in src.tensors.values()}
+    assert sorted(map(id, scans)) == sorted(made)
+    if transform == "upcycle":  # its routers and nothing else
+        assert len(scans) == micro_ckpt.config.n_layers
+    elif transform == "depth":
+        assert scans == []
+    else:  # width growth passes the kv biases through
+        assert out.tensors["layers.1.attn.v_bias"] is src.tensors["layers.1.attn.v_bias"]
