@@ -100,6 +100,13 @@ def _rows(x: np.ndarray) -> np.ndarray:
     return x.reshape(-1, x.shape[-1])
 
 
+def _live_rows(g: np.ndarray) -> np.ndarray | slice:
+    """The indices of g's nonzero rows when fewer than half of its rows are
+    nonzero, else slice(None): every row, as a view."""
+    live = np.flatnonzero(g.any(axis=1))
+    return live if 2 * live.size < len(g) else slice(None)
+
+
 class Tensor:
     """A node in the computation graph wrapping an ndarray."""
 
@@ -332,6 +339,11 @@ class Tensor:
         The node keeps sigmoid(x @ w_gate), its silu and x @ w_up for the
         backward and recomputes their product there; the composed ops keep
         five arrays of that width.
+
+        The backward runs on the rows with a nonzero output gradient when
+        fewer than half have one (a routed expert's unselected tokens add
+        nothing to any gradient), else on a view of every row: a dense MLP,
+        dead only at each sequence's last position, stays bitwise.
         """
         x = _rows(self.data)
         a = x @ w_gate.data
@@ -348,19 +360,19 @@ class Tensor:
 
         def backward(g):
             g = _rows(g)
+            rows = _live_rows(g)
+            g, xr, ur, sr, silur = g[rows], x[rows], u[rows], s[rows], silu[rows]
             d_up = g @ w_down.data.T
-            d_gate = d_up * u
-            d_up *= silu
+            d_gate = d_up * ur
+            d_up *= silur
             # d silu(a) / da = s + silu(a) * (1 - s)
-            d_silu = 1.0 - s
-            d_silu *= silu
-            d_silu += s
+            d_silu = 1.0 - sr
+            d_silu *= silur
+            d_silu += sr
             d_gate *= d_silu
-            gx = np.empty(self.shape, dtype=self.dtype)  # written through its rows
-            gx_rows = _rows(gx)
-            np.matmul(d_gate, w_gate.data.T, out=gx_rows)
-            gx_rows += d_up @ w_up.data.T
-            return gx, x.T @ d_gate, x.T @ d_up, (silu * u).T @ g
+            gx = np.zeros_like(x)
+            gx[rows] = d_gate @ w_gate.data.T + d_up @ w_up.data.T
+            return gx.reshape(self.shape), xr.T @ d_gate, xr.T @ d_up, (silur * ur).T @ g
 
         return self._make(out_data, (self, w_gate, w_up, w_down), backward)
 

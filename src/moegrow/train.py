@@ -128,6 +128,8 @@ def train(ckpt: Checkpoint, dataset, cfg: TrainConfig, eval_data=None,
     """
     ckpt.validate()
     dataset = np.asarray(dataset)
+    if dataset.ndim != 1:
+        raise ValidationError("dataset must be a flat token stream")
     if eval_every is None:
         eval_every = max(1, cfg.total_steps // 10)
     if eval_every < 1:

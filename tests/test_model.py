@@ -16,8 +16,10 @@ from moegrow import (
     upcycle,
 )
 from moegrow import model as model_module
+from moegrow import tensor as tensor_module
 from moegrow.model import EVAL_CHUNK_TOKENS, MASK_VALUE, NORM_EPS, _rotary_tables, build_graph
 from moegrow.tensor import Tensor, _set_madvise_hugepage, concat
+from test_tensor import composed_gated_mlp, composed_mix
 
 
 def tokens_for(config, seed, length):
@@ -133,12 +135,30 @@ def test_backward_returns_grad_per_tensor(micro_ckpt, micro_config):
     assert any(np.abs(g).max() > 0 for g in grads.values())
 
 
+# top-2 of 8: an expert's output gradient is nonzero on about a quarter of the
+# rows, so its backward runs on those rows alone
+TOP2_OF_8 = MoEConfig(n_experts=8, top_k=2, router_init_std=0.5)
+
+
 def test_backward_deterministic(micro_ckpt, micro_config):
     toks = tokens_for(micro_config, 10, 10).reshape(1, -1)
-    g1 = backward(micro_ckpt, toks)
-    g2 = backward(micro_ckpt, toks)
-    for name in g1:
-        assert g1[name].tobytes() == g2[name].tobytes()
+    for ckpt in (micro_ckpt, upcycle(micro_ckpt, TOP2_OF_8, seed=4)):
+        g1 = backward(ckpt, toks)
+        g2 = backward(ckpt, toks)
+        for name in g1:
+            assert g1[name].tobytes() == g2[name].tobytes()
+
+
+def test_routed_float64_gradients_match_the_composed_expert_ops(micro_ckpt, micro_config,
+                                                                monkeypatch):
+    routed = upcycle(micro_ckpt, TOP2_OF_8, seed=4)
+    toks = tokens_for(micro_config, 23, 48).reshape(4, -1)
+    fused = backward(routed, toks, dtype=np.float64)
+    monkeypatch.setattr(Tensor, "gated_mlp", composed_gated_mlp)
+    monkeypatch.setattr(model_module, "mix", lambda w, outs: composed_mix(w, list(outs)))
+    composed = backward(routed, toks, dtype=np.float64)
+    for name, grad in fused.items():
+        np.testing.assert_allclose(grad, composed[name], rtol=1e-9, atol=1e-12, err_msg=name)
 
 
 def test_backward_flags_non_finite_loss(micro_config):
@@ -323,6 +343,36 @@ def test_a_routed_step_at_the_benchmark_config_records_few_nodes():
     assert op_nodes(graph) <= 172
     graph.objective.backward()
     assert all(leaf.grad is not None for leaf in graph.params.values())
+
+
+def test_only_a_routed_expert_backpropagates_the_rows_its_gate_selected(monkeypatch):
+    picked = []
+
+    def spy(g):
+        picked.append(live_rows(g))
+        return picked[-1]
+
+    live_rows = tensor_module._live_rows
+    monkeypatch.setattr(tensor_module, "_live_rows", spy)
+    routed, toks = bench_routed_step()
+    build_graph(random_init(BENCH_CONFIG, seed=0), toks).objective.backward()
+    assert picked == [slice(None)] * BENCH_CONFIG.n_layers
+
+    picked.clear()
+    graph = build_graph(routed, toks)
+    graph.objective.backward()
+    # each expert's rows are the tokens routed to it. Only the router losses of
+    # later layers read a sequence's last position, so in the last layer an
+    # expert's rows leave it out
+    read = np.ones(toks.shape, dtype=bool)
+    read[:, -1] = False
+    want = []
+    for idx in reversed(graph.expert_idx):
+        want += [np.flatnonzero((idx == j).any(axis=-1) & read)
+                 for j in range(routed.moe.n_experts)]
+        read[:, -1] = True
+    assert all(2 * rows.size < toks.size for rows in want)
+    assert sorted(map(tuple, picked)) == sorted(map(tuple, want))
 
 
 def test_backward_releases_every_interior_node_and_keeps_the_leaf_gradients():

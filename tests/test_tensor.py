@@ -58,9 +58,13 @@ def check_grads(build, arrays, tol=1e-7, eps=1e-6):
         assert rel < tol, f"input {k}: rel err {rel:.3e}"
 
 
-def weighted(out: Tensor, seed: int = 0) -> Tensor:
-    """Random-weight the output so symmetric gradients cannot hide bugs."""
+def weighted(out: Tensor, seed: int = 0, live=None) -> Tensor:
+    """Random-weight the output so symmetric gradients cannot hide bugs. With
+    `live`, a boolean mask over the leading axes, the weights, and so the
+    output's gradient, are zero on every row the mask leaves out."""
     w = np.random.default_rng(seed).normal(size=out.data.shape)
+    if live is not None:
+        w *= live[..., None]
     return (out * Tensor(w)).sum()
 
 
@@ -322,11 +326,31 @@ def test_rmsnorm_grad(width):
     check_grads(lambda x, g: weighted(x.rmsnorm(g, 1e-5), seed=14), [a, gain], tol=1e-6)
 
 
+# which rows of an output gradient are nonzero: every row (a dense MLP), a
+# third of them (a routed expert) or none (an expert routed no token)
+LIVE_ROWS = {
+    "every": lambda n: np.ones(n, dtype=bool),
+    "a third": lambda n: np.arange(n) % 3 == 1,
+    "none": lambda n: np.zeros(n, dtype=bool),
+}
+
+
 @pytest.mark.parametrize("lead", [(4,), (2, 3), (2, 1, 3)])
 def test_gated_mlp_grad(lead):
     x = RNG.normal(size=lead + (5,)) * 2
-    check_grads(lambda x, wg, wu, wd: weighted(x.gated_mlp(wg, wu, wd), seed=18),
-                [x, *mlp_weights(RNG, 5, 6)], tol=1e-6)
+    arrays = [x, *mlp_weights(RNG, 5, 6)]
+    for rows, live_rows in LIVE_ROWS.items():
+        live = live_rows(int(np.prod(lead))).reshape(lead)
+
+        def build(x, wg, wu, wd, live=live):
+            return weighted(x.gated_mlp(wg, wu, wd), seed=18, live=live)
+
+        check_grads(build, arrays, tol=1e-6)
+        leaves = [Tensor(a) for a in arrays]
+        build(*leaves).backward()
+        assert not leaves[0].grad[~live].any(), rows
+        if rows == "none":
+            assert not any(leaf.grad.any() for leaf in leaves)
 
 
 def test_gated_mlp_saturates_without_overflow_or_nan():
@@ -415,9 +439,15 @@ def test_fused_ops_are_bitwise_the_composed_ops(lead, width, seed):
     assert fused.tobytes() == composed_rmsnorm(Tensor(x), Tensor(gain), 1e-5).data.tobytes()
 
     # the gated MLP and the expert mix, in float32 for the forward bytes and in
-    # float64 for the gradients, which only sum in another order
+    # float64 for the gradients, which only sum in another order; in float64
+    # the MLP's output gradient is also zero on most rows, then on every row
+    # (an expert routed no token), when its gradients are exact zeros
     inner = 1 + seed % 9
-    for dtype in (np.float32, np.float64):
+    n_rows = int(np.prod(lead))
+    few = np.isin(np.arange(n_rows), rng.choice(n_rows, (n_rows - 1) // 2, replace=False))
+    cases = [(np.float32, None), (np.float64, None), (np.float64, few.reshape(lead)),
+             (np.float64, np.zeros(lead, dtype=bool))]
+    for dtype, live in cases:
         args = [x.astype(dtype), *mlp_weights(rng, width, inner, dtype)]
         gates = rng.uniform(size=tuple(lead) + (3,)).astype(dtype)
         expert_outs = [rng.normal(size=shape).astype(dtype) for _ in range(3)]
@@ -428,7 +458,7 @@ def test_fused_ops_are_bitwise_the_composed_ops(lead, width, seed):
             leaves = [Tensor(a) for a in (*args, gates, *expert_outs)]
             mlp_out = apply_mlp(*leaves[:4])
             mix_out = apply_mix(leaves[4], leaves[5:])
-            weighted(mlp_out, seed=20).backward()
+            weighted(mlp_out, seed=20, live=live).backward()
             weighted(mix_out, seed=21).backward()
             sides.append((mlp_out.data, mix_out.data, [t.grad for t in leaves]))
         (fused_mlp, fused_mix, fused_grads), (plain_mlp, plain_mix, plain_grads) = sides
@@ -438,6 +468,44 @@ def test_fused_ops_are_bitwise_the_composed_ops(lead, width, seed):
         else:
             for got, want in zip(fused_grads, plain_grads):
                 np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+            if live is not None and not live.any():
+                assert not any(grad.any() for grad in fused_grads[:4])
+
+
+def numpy_gated_mlp_grads(x, w_gate, w_up, w_down, g):
+    """The gated MLP's input and weight gradients by the full-row formulas,
+    in plain numpy and in the fused op's order of operations."""
+    x2, g2 = x.reshape(-1, x.shape[-1]), g.reshape(-1, g.shape[-1])
+    a = x2 @ w_gate
+    s = 1.0 / (1.0 + np.exp(-a))
+    silu = a * s
+    u = x2 @ w_up
+    d_out = g2 @ w_down.T
+    d_gate = d_out * u * ((1.0 - s) * silu + s)
+    d_up = d_out * silu
+    gx = d_gate @ w_gate.T + d_up @ w_up.T
+    return gx.reshape(x.shape), x2.T @ d_gate, x2.T @ d_up, (silu * u).T @ g2
+
+
+# dead rows of a dense MLP's output gradient: none, each sequence's last
+# position (a dense model's), or exactly half of them. At the benchmark's
+# batch and widths a weight gradient summed over fewer rows moves in its bits
+@pytest.mark.parametrize("lead,width,inner,dead", [
+    ((2, 5), 7, 10, None),
+    ((16, 33), 64, 128, (slice(None), -1)),
+    ((528,), 64, 128, slice(0, 264)),
+], ids=["every_row", "last_positions", "half"])
+def test_a_dense_gated_mlp_backward_is_bitwise_its_full_row_formulas(lead, width, inner, dead):
+    rng = np.random.default_rng(22)
+    x = (rng.normal(size=lead + (width,)) * 3).astype(np.float32)
+    weights = mlp_weights(rng, width, inner, np.float32)
+    g = rng.normal(size=lead + (width,)).astype(np.float32)
+    if dead is not None:
+        g[dead] = 0.0
+    leaves = [Tensor(a) for a in (x, *weights)]
+    Tensor.gated_mlp(*leaves).backward(g)
+    for leaf, want in zip(leaves, numpy_gated_mlp_grads(x, *weights, g)):
+        assert leaf.grad.tobytes() == want.tobytes()
 
 
 def test_rmsnorm_duplication_identity_over_odd_widths():

@@ -124,17 +124,31 @@ def test_training_reduces_loss(micro_config, corpus):
 
 
 def test_training_is_deterministic(micro_config, corpus):
-    ckpt = random_init(micro_config, seed=1)
+    dense = random_init(micro_config, seed=1)
+    # top-2 of 8 experts: which rows each expert's backward runs on depends
+    # on the data, and still two runs agree bitwise
+    routed = upcycle(dense, MoEConfig(n_experts=8, top_k=2, router_init_std=0.5), seed=2)
     cfg = quick_cfg(total_steps=10)
-    a, log_a = train(ckpt, corpus % 16, cfg)
-    b, log_b = train(ckpt, corpus % 16, cfg)
-    for name in a.tensors:
-        assert a.tensors[name].tobytes() == b.tensors[name].tobytes()
-    assert log_a.to_csv() == log_b.to_csv()
-    c, _ = train(ckpt, corpus % 16, quick_cfg(total_steps=10, seed=5))
-    assert any(
-        a.tensors[n].tobytes() != c.tensors[n].tobytes() for n in a.tensors
-    )
+    for ckpt in (dense, routed):
+        a, log_a = train(ckpt, corpus % 16, cfg)
+        b, log_b = train(ckpt, corpus % 16, cfg)
+        for name in a.tensors:
+            assert a.tensors[name].tobytes() == b.tensors[name].tobytes()
+        assert log_a.to_csv() == log_b.to_csv()
+        c, _ = train(ckpt, corpus % 16, quick_cfg(total_steps=10, seed=5))
+        assert any(
+            a.tensors[n].tobytes() != c.tensors[n].tobytes() for n in a.tensors
+        )
+
+
+@pytest.mark.parametrize("seed", [25, 0])
+def test_training_rejects_a_dataset_that_is_not_a_flat_stream(seed):
+    cfg = ModelConfig(n_layers=1, hidden_dim=8, n_heads=2, head_dim=4, kv_groups=1,
+                      intermediate_dim=8, vocab_size=16, context_length=8)
+    data = (np.arange(300) % 16).reshape(3, 100)
+    with pytest.raises(ValidationError, match="flat token stream"):
+        train(random_init(cfg, 0), data, TrainConfig(
+            total_steps=1, warmup_steps=0, seq_len=4, batch_tokens=16, seed=seed))
 
 
 def test_divergence_raises_with_step(micro_config, corpus):
